@@ -53,8 +53,12 @@ from .process import (
     EventTrain,
     InteractionModel,
     Window,
+    conditioning_window,
     count_in,
+    pair_differences,
+    parent_horizon,
     read_events,
+    scale_clip,
     scale_train,
     write_events,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import _batch_coefficients, estimate_coefficients
 from .haar import NONNEG, TWO_SIDED, IndexSet, WaveletIndex
-from .process import EventTrain, Window, scale_train
+from .process import EventTrain, Window, parent_horizon, scale_clip
 from .simulate import as_generator
 
 __all__ = [
@@ -113,12 +113,6 @@ class NullStatMatrix:
         return self.stats[self.n_rows // 2 :]
 
 
-def _check_parent_window(parents: EventTrain) -> float:
-    if parents.window.lo != 0.0:
-        raise ValueError("parent train must be observed on [0; T]")
-    return parents.window.hi
-
-
 def simulate_null_stats(
     parents: EventTrain,
     m: int,
@@ -138,21 +132,14 @@ def simulate_null_stats(
         raise ValueError("m must be >= 0")
     if parents.count() == 0:
         raise ValueError("null statistics require at least one parent")
-    T = _check_parent_window(parents)
+    T = parent_horizon(parents)
     if m == 0:
         return NullStatMatrix(np.zeros((B, idx.size)), idx)
     rng = as_generator(seed)
     draws = rng.uniform(obs.lo, obs.hi, size=(B, m))
     rows = np.repeat(np.arange(B, dtype=np.int64), m)
-    beta = _batch_coefficients(
-        parents.times, T, draws.ravel(), rows, B, idx.js, idx.ks, idx.j0
-    )
+    beta = _batch_coefficients(parents.times, T, draws.ravel(), rows, B, idx)
     return NullStatMatrix(np.abs(beta), idx)
-
-
-def _rank(p: float, n: int) -> int:
-    """1-based order-statistic rank for tail probability p; 0 means below-min."""
-    return n - int(math.floor(p * n))
 
 
 def empirical_quantile(column, p: float) -> float:
@@ -163,18 +150,19 @@ def empirical_quantile(column, p: float) -> float:
     every observation.
     """
     col = np.asarray(column, dtype=np.float64)
-    if col.size == 0:
-        raise ValueError("empty sample")
+    if col.ndim != 1 or col.size == 0:
+        raise ValueError("column must be a nonempty one-dimensional sample")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0; 1]")
-    r = _rank(p, col.size)
-    if r <= 0:
-        return -math.inf
-    return float(col[r - 1])
+    return float(_thresholds(col[:, None], np.array([p]))[0])
 
 
 def _thresholds(sorted_cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Per-column conditional quantiles at per-column tail probabilities."""
+    """Per-column conditional quantiles at per-column tail probabilities.
+
+    Column c gets its order statistic of rank n - floor(probs[c] * n), and
+    -inf at rank 0, a value below every observation.
+    """
     n = sorted_cols.shape[0]
     ranks = n - np.floor(probs * n).astype(np.int64)
     safe = np.clip(ranks - 1, 0, n - 1)
@@ -281,17 +269,6 @@ def _no_information_outcome(
     )
 
 
-def _scaled_inputs(parents, children, scale):
-    """Scale both trains and clip children to the analysis window [-1; Ts+1]."""
-    sp = scale_train(parents, scale)
-    sc = scale_train(children, scale)
-    T_scaled = _check_parent_window(sp)
-    analysis = Window(-1.0, T_scaled + 1.0)
-    keep = (sc.times >= analysis.lo) & (sc.times <= analysis.hi)
-    observed = EventTrain(sc.times[keep], analysis)
-    return sp, observed, analysis
-
-
 def run_multiple_test(
     parents: EventTrain,
     children: EventTrain,
@@ -310,9 +287,7 @@ def run_multiple_test(
     n = parents.count()
     if n == 0:
         return _no_information_outcome(idx, 0, 0, config.scale, config.alpha)
-    scaled_parents, observed, analysis = _scaled_inputs(
-        parents, children, config.scale
-    )
+    scaled_parents, observed, analysis = scale_clip(parents, children, config.scale)
     m = observed.count()
     if m == 0:
         return _no_information_outcome(idx, n, 0, config.scale, config.alpha)
@@ -353,45 +328,15 @@ def run_single_test(
     """
     if not index.in_family():
         raise ValueError(f"{index} lies outside the test family")
-    n = parents.count()
-    if n == 0:
+    if parents.count() == 0:
         return False
-    scaled_parents, observed, analysis = _scaled_inputs(
-        parents, children, config.scale
-    )
+    scaled_parents, observed, analysis = scale_clip(parents, children, config.scale)
     m = observed.count()
     if m == 0:
         return False
-
-    js = np.array([index.j], dtype=np.int64)
-    ks = np.array([index.k], dtype=np.int64)
-    T_scaled = scaled_parents.window.hi
-    observed_stat = abs(
-        _batch_coefficients(
-            scaled_parents.times,
-            T_scaled,
-            observed.times,
-            np.zeros(m, dtype=np.int64),
-            1,
-            js,
-            ks,
-            index.j,
-        )[0, 0]
-    )
-    rng = as_generator(seed)
-    draws = rng.uniform(analysis.lo, analysis.hi, size=(config.B, m))
-    rows = np.repeat(np.arange(config.B, dtype=np.int64), m)
-    null_stats = np.abs(
-        _batch_coefficients(
-            scaled_parents.times,
-            T_scaled,
-            draws.ravel(),
-            rows,
-            config.B,
-            js,
-            ks,
-            index.j,
-        )[:, 0]
-    )
-    threshold = empirical_quantile(np.sort(null_stats), config.alpha)
-    return bool(observed_stat > threshold)
+    idx = IndexSet(index.j)
+    p = idx.position(index)
+    stat = estimate_coefficients(scaled_parents, observed, idx).t_stat[p]
+    nulls = simulate_null_stats(scaled_parents, m, idx, config.B, analysis, seed)
+    threshold = empirical_quantile(np.sort(nulls.stats[:, p]), config.alpha)
+    return bool(stat > threshold)

@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .process import EventTrain, Window
+from .process import EventTrain, Window, pair_differences
 
 __all__ = [
     "KsResult",
@@ -29,8 +29,6 @@ __all__ = [
 
 # Delay grid for the coincidence test: 0.001 to 0.040, step 0.001.
 DELTA_GRID = tuple(np.arange(1, 41) * 0.001)
-
-_COINCIDENCE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,27 +88,49 @@ def ks_test(children: EventTrain, obs: Window, alpha: float) -> KsResult:
     return KsResult(d_stat, p_value, p_value <= alpha)
 
 
-def coincidence_count(parents: EventTrain, children: EventTrain, T: float, delta: float) -> int:
-    """Number of pairs (x, y) in parents x children on [0; T] with |x - y| <= delta.
+def _coincidences(parents: EventTrain, children: EventTrain, T: float, deltas):
+    """Parent and child counts on [0; T] and the coincidence count per delta.
 
-    Sorted sweep: candidates come from binary search with a small slack, then
-    the inclusive condition is applied on the exact differences, so the count
-    matches brute-force pair enumeration bit-for-bit.
+    One sorted sweep at the largest delta collects the exact differences;
+    each count of pairs with |x - y| <= delta is then a binary search in the
+    sorted |differences|, so it matches brute-force pair enumeration exactly.
     """
     px = parents.times[(parents.times >= 0.0) & (parents.times <= T)]
     cy = children.times[(children.times >= 0.0) & (children.times <= T)]
-    if px.size == 0 or cy.size == 0:
-        return 0
-    lo = np.searchsorted(px, cy - delta - _COINCIDENCE_MARGIN, side="left")
-    hi = np.searchsorted(px, cy + delta + _COINCIDENCE_MARGIN, side="right")
-    cnt = hi - lo
-    total = int(cnt.sum())
-    if total == 0:
-        return 0
-    starts = np.cumsum(cnt) - cnt
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
-    diffs = np.repeat(cy, cnt) - px[np.repeat(lo, cnt) + offsets]
-    return int(np.count_nonzero(np.abs(diffs) <= delta))
+    diffs, _ = pair_differences(px, cy, max(deltas))
+    counts = np.searchsorted(np.sort(np.abs(diffs)), deltas, side="right")
+    return px.size, cy.size, counts
+
+
+def coincidence_count(parents: EventTrain, children: EventTrain, T: float, delta: float) -> int:
+    """Number of pairs (x, y) in parents x children on [0; T] with |x - y| <= delta."""
+    return int(_coincidences(parents, children, T, (delta,))[2][0])
+
+
+def _gaue_results(
+    parents: EventTrain, children: EventTrain, T: float, deltas, alpha: float
+) -> list[GaueResult]:
+    """Coincidence-count test at every delay in deltas (see gaue_test)."""
+    if not all(0.0 < delta < T for delta in deltas):
+        raise ValueError("delta must lie in (0; T)")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0; 1)")
+    n_p, n_c, counts = _coincidences(parents, children, T, deltas)
+    if n_p == 0 or n_c == 0:
+        return [GaueResult(0, 0.0, 0.0, delta, False) for delta in deltas]
+    rate_p = n_p / T
+    rate_c = n_c / T
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    results = []
+    for delta, x_t in zip(deltas, counts.tolist()):
+        m0_hat = rate_p * rate_c * (2.0 * T * delta - delta * delta)
+        var = m0_hat + rate_p * rate_c * (rate_p + rate_c) * (
+            (2.0 / 3.0) * delta**3 - delta**4 / T
+        )
+        sigma_hat = math.sqrt(max(var, 0.0))
+        reject = bool(abs(x_t - m0_hat) >= sigma_hat * z)
+        results.append(GaueResult(x_t, m0_hat, sigma_hat, delta, reject))
+    return results
 
 
 def gaue_test(
@@ -130,29 +150,11 @@ def gaue_test(
     level near alpha; the upper branch alone sits near alpha/2. Empty trains
     accept outright.
     """
-    if not 0.0 < delta < T:
-        raise ValueError("delta must lie in (0; T)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0; 1)")
-    n_p = int(np.count_nonzero((parents.times >= 0.0) & (parents.times <= T)))
-    n_c = int(np.count_nonzero((children.times >= 0.0) & (children.times <= T)))
-    if n_p == 0 or n_c == 0:
-        return GaueResult(0, 0.0, 0.0, delta, False)
-    x_t = coincidence_count(parents, children, T, delta)
-    rate_p = n_p / T
-    rate_c = n_c / T
-    m0_hat = rate_p * rate_c * (2.0 * T * delta - delta * delta)
-    var = m0_hat + rate_p * rate_c * (rate_p + rate_c) * (
-        (2.0 / 3.0) * delta**3 - delta**4 / T
-    )
-    sigma_hat = math.sqrt(max(var, 0.0))
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    reject = bool(abs(x_t - m0_hat) >= sigma_hat * z)
-    return GaueResult(x_t, m0_hat, sigma_hat, delta, reject)
+    return _gaue_results(parents, children, T, (delta,), alpha)[0]
 
 
 def gaue_grid(
     parents: EventTrain, children: EventTrain, T: float, alpha: float
 ) -> list[GaueResult]:
     """Coincidence test across the whole delay grid (40 results)."""
-    return [gaue_test(parents, children, T, d, alpha) for d in DELTA_GRID]
+    return _gaue_results(parents, children, T, DELTA_GRID, alpha)

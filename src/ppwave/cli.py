@@ -18,7 +18,7 @@ from .experiments import (
     write_report,
 )
 from .haar import NONNEG, TWO_SIDED, IndexSet
-from .process import read_events, write_events
+from .process import conditioning_window, read_events, scale_clip, write_events
 from .simulate import DATASET_NAMES, DatasetId, RngSeed, make_dataset
 
 
@@ -76,10 +76,7 @@ def _cmd_test(args) -> int:
     T = parents.window.hi
 
     if args.method == "ks":
-        from .process import Window
-
-        ks_window = Window(-1.0 / args.scale, T + 1.0 / args.scale)
-        res = ks_test(children, ks_window, args.alpha)
+        res = ks_test(children, conditioning_window(T, args.scale), args.alpha)
         print(f"d_stat: {res.d_stat:.6f}")
         print(f"p_value: {res.p_value:.6g}")
         print(f"decision: {'reject' if res.reject else 'accept'}")
@@ -102,9 +99,7 @@ def _cmd_test(args) -> int:
         alpha=args.alpha, j0=args.j0, side=args.side, B=args.B, scale=args.scale
     )
     if args.coeffs_only:
-        from .adaptive import _scaled_inputs
-
-        scaled_parents, observed, _ = _scaled_inputs(parents, children, cfg.scale)
+        scaled_parents, observed, _ = scale_clip(parents, children, cfg.scale)
         coef = estimate_coefficients(
             scaled_parents, observed, IndexSet(cfg.j0, cfg.side)
         )

@@ -22,7 +22,7 @@ from .haar import (
     _pair_sums_from_counts,
     _shift_mean_matrix,
 )
-from .process import EventTrain
+from .process import EventTrain, parent_horizon
 
 __all__ = ["NoParentsError", "CoefficientField", "estimate_coefficients"]
 
@@ -43,30 +43,23 @@ class CoefficientField:
         return float(self.beta_hat[self.index_set.position(index)])
 
 
-def _parent_window_length(parents: EventTrain) -> float:
-    if parents.window.lo != 0.0:
-        raise ValueError("parent train must be observed on [0; T]")
-    return parents.window.hi
-
-
 def _batch_coefficients(
     parent_times: np.ndarray,
     T: float,
     values: np.ndarray,
     rows: np.ndarray,
     n_rows: int,
-    js: np.ndarray,
-    ks: np.ndarray,
-    j0: int,
+    idx: IndexSet,
 ) -> np.ndarray:
     """Coefficient estimates for n_rows child samples against one parent set.
 
     values/rows are flat (child time, row id) pairs; returns (n_rows,
-    len(js)) signed estimates.
+    idx.size) signed estimates.
     """
     n = parent_times.size
-    counts = _pair_slot_counts(parent_times, values, rows, n_rows, j0)
-    sums = _pair_sums_from_counts(counts, js, ks, j0)
+    js, ks = idx.js, idx.ks
+    counts = _pair_slot_counts(parent_times, values, rows, n_rows, idx.j0)
+    sums = _pair_sums_from_counts(counts, js, ks, idx.j0)
 
     correction = np.zeros_like(sums)
     # The shift mean vanishes unless x or x - T falls in [-1; 1].
@@ -103,10 +96,8 @@ def estimate_coefficients(
     """
     if parents.count() == 0:
         raise NoParentsError("coefficient estimates require at least one parent")
-    T = _parent_window_length(parents)
+    T = parent_horizon(parents)
     values = np.asarray(children.times, dtype=np.float64)
     rows = np.zeros(values.size, dtype=np.int64)
-    beta = _batch_coefficients(
-        parents.times, T, values, rows, 1, idx.js, idx.ks, idx.j0
-    )[0]
+    beta = _batch_coefficients(parents.times, T, values, rows, 1, idx)[0]
     return CoefficientField(idx, beta, np.abs(beta))

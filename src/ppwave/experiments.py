@@ -20,7 +20,7 @@ import numpy as np
 from .adaptive import TestConfig, run_multiple_test
 from .baselines import DELTA_GRID, gaue_grid, ks_test
 from .haar import NONNEG, TWO_SIDED
-from .process import Window
+from .process import conditioning_window
 from .simulate import DATASET_NAMES, DatasetId, make_dataset
 
 __all__ = [
@@ -138,47 +138,37 @@ def _ci_halfwidth(rate: float, R: int) -> float:
     return 1.96 * np.sqrt(rate * (1.0 - rate) / R)
 
 
-def _replicate(args):
+def _replicate(task: tuple[ExperimentConfig, str, int]) -> dict:
     """One dataset draw plus every requested method; pure in its arguments."""
-    (master_seed, name, r, T, alpha, B, j0, side, scale, methods) = args
+    cfg, name, r = task
     ds_pos = DATASET_NAMES.index(name)
-    data_seq = np.random.SeedSequence(master_seed, spawn_key=(ds_pos, r, 0))
-    parents, children = make_dataset(DatasetId(name), T, data_seq)
+    data_seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(ds_pos, r, 0))
+    parents, children = make_dataset(DatasetId(name), cfg.T, data_seq)
     out = {}
-    if "wavelet" in methods:
-        null_seq = np.random.SeedSequence(master_seed, spawn_key=(ds_pos, r, 1))
-        cfg = TestConfig(alpha=alpha, j0=j0, side=side, B=B, scale=scale)
-        outcome = run_multiple_test(parents, children, cfg, seed=null_seq)
+    if "wavelet" in cfg.methods:
+        null_seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(ds_pos, r, 1))
+        test_cfg = TestConfig(
+            alpha=cfg.alpha, j0=cfg.j0, side=cfg.side, B=cfg.B, scale=cfg.scale
+        )
+        outcome = run_multiple_test(parents, children, test_cfg, seed=null_seq)
         out["wavelet"] = outcome.reject
         out["u_alpha"] = outcome.u_alpha
-    if "ks" in methods:
-        # KS runs on the conditioning window ([-1; Ts+1] scaled, mapped back
-        # to original time), where null children are exactly uniform.
-        ks_window = Window(-1.0 / scale, T + 1.0 / scale)
-        out["ks"] = ks_test(children, ks_window, alpha).reject
-    if "gaue" in methods:
-        out["gaue"] = [g.reject for g in gaue_grid(parents, children, T, alpha)]
+    if "ks" in cfg.methods:
+        # KS runs on the conditioning window, where null children are exactly
+        # uniform.
+        ks_window = conditioning_window(cfg.T, cfg.scale)
+        out["ks"] = ks_test(children, ks_window, cfg.alpha).reject
+    if "gaue" in cfg.methods:
+        out["gaue"] = [
+            g.reject for g in gaue_grid(parents, children, cfg.T, cfg.alpha)
+        ]
     return out
 
 
-def _run(cfg: ExperimentConfig) -> ExperimentReport:
+def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Empirical power run over the configured (usually non-null) datasets."""
     start = time.perf_counter()
-    tasks = [
-        (
-            cfg.master_seed,
-            name,
-            r,
-            cfg.T,
-            cfg.alpha,
-            cfg.B,
-            cfg.j0,
-            cfg.side,
-            cfg.scale,
-            cfg.methods,
-        )
-        for name in cfg.datasets
-        for r in range(cfg.R)
-    ]
+    tasks = [(cfg, name, r) for name in cfg.datasets for r in range(cfg.R)]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     if workers <= 1:
         results = [_replicate(t) for t in tasks]
@@ -234,12 +224,7 @@ def run_level_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical type-I error run; requires the null dataset Data_0."""
     if "Data_0" not in cfg.datasets:
         raise ValueError("a level experiment must include Data_0")
-    return _run(cfg)
-
-
-def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Empirical power run over the configured (usually non-null) datasets."""
-    return _run(cfg)
+    return run_power_experiment(cfg)
 
 
 def write_report(report: ExperimentReport, out_path: str) -> tuple[str, str]:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .process import EventTrain
+from .process import EventTrain, pair_differences
 
 __all__ = [
     "TWO_SIDED",
@@ -31,11 +31,6 @@ __all__ = [
 
 TWO_SIDED = "two_sided"
 NONNEG = "nonneg"
-
-# Slack used when pre-selecting pairs by searchsorted; candidates are then
-# filtered on the exact computed difference, so the value only needs to
-# dominate rounding of x - u (~1e-14 at the magnitudes handled here).
-_PAIR_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -143,16 +138,20 @@ def haar_eval(index: WaveletIndex, x):
     return float(out) if np.isscalar(x) else out
 
 
-def haar_antiderivative(index: WaveletIndex, t):
-    """Integral of phi_(j,k) from -inf to t.
+def _tent(t, j, k):
+    """Integral of phi_(j,k) from -inf to t, broadcasting over t, j and k.
 
     A downward tent on the support: 0 at k2^-j, minimum -2^(-j/2-1) at the
-    midpoint, back to 0 at (k+1)2^-j, and 0 outside.
+    midpoint, back to 0 at (k+1)2^-j, and 0 outside (possibly as -0.0).
     """
-    t_arr = np.asarray(t, dtype=np.float64)
-    y = np.ldexp(t_arr, index.j) - index.k
+    y = np.ldexp(t, j) - k
     tent = np.minimum(y, 1.0 - y)
-    val = -(2.0 ** (-0.5 * index.j)) * np.where(tent > 0.0, tent, 0.0) + 0.0
+    return -(2.0 ** (-0.5 * j)) * np.where(tent > 0.0, tent, 0.0)
+
+
+def haar_antiderivative(index: WaveletIndex, t):
+    """Integral of phi_(j,k) from -inf to t (see _tent), with -0.0 made 0.0."""
+    val = _tent(np.asarray(t, dtype=np.float64), index.j, index.k) + 0.0
     return float(val) if np.isscalar(t) else val
 
 
@@ -206,15 +205,7 @@ def _pair_slot_counts(
     """
     half = 2 ** (j0 + 1)
     n_slots = _n_slots(j0)
-    lo = np.searchsorted(parent_times, values - (1.0 + _PAIR_MARGIN), side="left")
-    hi = np.searchsorted(parent_times, values + (1.0 + _PAIR_MARGIN), side="right")
-    cnt = hi - lo
-    total = int(cnt.sum())
-    if total == 0:
-        return np.zeros((n_rows, n_slots), dtype=np.int64)
-    starts = np.cumsum(cnt) - cnt
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
-    diffs = np.repeat(values, cnt) - parent_times[np.repeat(lo, cnt) + offsets]
+    diffs, cnt = pair_differences(parent_times, values, 1.0)
     pair_rows = np.repeat(rows, cnt)
     inside = np.abs(diffs) <= 1.0
     diffs = diffs[inside]
@@ -265,11 +256,4 @@ def _shift_mean_matrix(
     v = values[:, None]
     j_row = js[None, :]
     k_row = ks[None, :]
-    amp = 2.0 ** (-0.5 * js)[None, :]
-
-    def tent(x):
-        y = np.ldexp(x, j_row) - k_row
-        t = np.minimum(y, 1.0 - y)
-        return -amp * np.where(t > 0.0, t, 0.0)
-
-    return (tent(v) - tent(v - T)) / T
+    return (_tent(v, j_row, k_row) - _tent(v - T, j_row, k_row)) / T

@@ -6,6 +6,7 @@ float64 array together with the closed window that contains them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,10 @@ __all__ = [
     "InteractionModel",
     "count_in",
     "scale_train",
+    "parent_horizon",
+    "conditioning_window",
+    "scale_clip",
+    "pair_differences",
     "read_events",
     "write_events",
 ]
@@ -23,12 +28,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Window:
-    """Closed time interval [lo; hi], lo < hi."""
+    """Closed time interval [lo; hi], lo < hi, both ends finite."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"window ends must be finite, got [{self.lo}; {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"window requires lo < hi, got [{self.lo}; {self.hi}]")
 
@@ -59,6 +66,8 @@ class EventTrain:
         times = np.asarray(self.times, dtype=np.float64)
         if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         if times.size and np.any(np.diff(times) < 0):
             raise ValueError("times must be nondecreasing")
         if times.size and (times[0] < self.window.lo or times[-1] > self.window.hi):
@@ -116,6 +125,64 @@ def scale_train(train: EventTrain, factor: float) -> EventTrain:
     if factor <= 0:
         raise ValueError("scale factor must be > 0")
     return EventTrain(train.times * factor, train.window.scaled(factor))
+
+
+def parent_horizon(parents: EventTrain) -> float:
+    """Recording length T of a parent train, which must be observed on [0; T]."""
+    if parents.window.lo != 0.0:
+        raise ValueError("parent train must be observed on [0; T]")
+    return parents.window.hi
+
+
+def conditioning_window(T: float, scale: float) -> Window:
+    """Window on which null children are uniform given parents on [0; T].
+
+    In scaled time (factor scale) the window is [-1; T*scale + 1]: children
+    farther than 1 from [0; T*scale] meet no wavelet support. The result is
+    that window in the time unit of T, [-1/scale; T + 1/scale]; pass the
+    scaled T and scale=1 for the scaled window itself.
+    """
+    return Window(-1.0 / scale, T + 1.0 / scale)
+
+
+def scale_clip(
+    parents: EventTrain, children: EventTrain, scale: float
+) -> tuple[EventTrain, EventTrain, Window]:
+    """Scale both trains and keep the children inside the conditioning window.
+
+    Returns (scaled parents, kept children, the window), all in scaled time.
+    """
+    sp = scale_train(parents, scale)
+    sc = scale_train(children, scale)
+    window = conditioning_window(parent_horizon(sp), 1.0)
+    keep = (sc.times >= window.lo) & (sc.times <= window.hi)
+    return sp, EventTrain(sc.times[keep], window), window
+
+
+# Slack added to the reach when pre-selecting pairs by searchsorted. Candidates
+# are then filtered on the exact computed difference, so the value only needs
+# to dominate rounding of x - u (~1e-13 at the magnitudes handled here).
+_PAIR_MARGIN = 1e-9
+
+
+def pair_differences(
+    anchors: np.ndarray, values: np.ndarray, reach: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Differences value - anchor of the candidate pairs within reach.
+
+    anchors must be sorted ascending. Returns (diffs, cnt): values[i] has
+    cnt[i] candidates, whose differences sit contiguously in diffs, in the
+    order of values. The candidates include every pair with |difference| <=
+    reach and may include pairs just beyond it, so callers filter diffs on
+    their exact condition. Per-value data expands with np.repeat(data, cnt).
+    """
+    lo = np.searchsorted(anchors, values - (reach + _PAIR_MARGIN), side="left")
+    hi = np.searchsorted(anchors, values + (reach + _PAIR_MARGIN), side="right")
+    cnt = hi - lo
+    starts = np.cumsum(cnt) - cnt
+    offsets = np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(starts, cnt)
+    diffs = np.repeat(values, cnt) - anchors[np.repeat(lo, cnt) + offsets]
+    return diffs, cnt
 
 
 def write_events(train: EventTrain, path) -> None:

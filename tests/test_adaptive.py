@@ -69,6 +69,21 @@ def test_quantile_rank_float_robustness():
     assert pw.empirical_quantile(col, 0.05) == 950.0
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_quantile_equals_thresholds_per_column(data):
+    n = data.draw(st.integers(1, 40))
+    n_cols = data.draw(st.integers(1, 5))
+    value = st.floats(0.0, 10.0) | st.sampled_from([0.0, 1.0, 2.5])  # ties
+    prob = st.floats(0.0, 1.0, exclude_min=True) | st.integers(1, n).map(lambda i: i / n)
+    row = st.lists(value, min_size=n_cols, max_size=n_cols)
+    cols = np.sort(np.array(data.draw(st.lists(row, min_size=n, max_size=n))), axis=0)
+    probs = np.array(data.draw(st.lists(prob, min_size=n_cols, max_size=n_cols)))
+    th = _thresholds(cols, probs)
+    for c in range(n_cols):
+        assert pw.empirical_quantile(cols[:, c], probs[c]) == th[c]
+
+
 def test_quantile_exceedance_postcondition():
     rng = np.random.default_rng(1)
     col = np.sort(rng.normal(size=321))
@@ -297,6 +312,31 @@ def test_single_test_power_at_signal_index():
             pw.WaveletIndex(0, 0), parents, children, cfg, seed=pw.RngSeed(72, r)
         )
     assert rejects / R >= 0.9
+
+
+@given(
+    st.sampled_from(pw.DATASET_NAMES),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3),
+    st.integers(0, 15),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_single_test_matches_shared_null_path(name, data_seed, j, k_pos, seed):
+    ix = pw.WaveletIndex(j, k_pos % 2 ** (j + 1) - 2**j)
+    parents, children = pw.make_dataset(pw.DatasetId(name), 1.0, pw.RngSeed(data_seed))
+    cfg = quick_config(B=200)
+    sp, observed, window = pw.scale_clip(parents, children, cfg.scale)
+    m = observed.count()
+    expected = False
+    if parents.count() and m:
+        # The whole j0 = 3 family: the column of ix does not depend on j0.
+        idx = pw.IndexSet(3)
+        p = idx.position(ix)
+        stat = pw.estimate_coefficients(sp, observed, idx).t_stat[p]
+        nulls = pw.simulate_null_stats(sp, m, idx, cfg.B, window, seed)
+        expected = stat > pw.empirical_quantile(np.sort(nulls.stats[:, p]), cfg.alpha)
+    assert pw.run_single_test(ix, parents, children, cfg, seed=seed) == expected
 
 
 def test_single_test_degenerate_B2_no_crash():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import ppwave as pw
@@ -103,6 +105,28 @@ def test_coincidence_count_matches_bruteforce():
             (np.abs(np.subtract.outer(inside, par)) <= delta).sum()
         )
         assert fast == brute
+
+
+# Times whose differences with 0.0 equal the grid delays exactly; drawing them
+# repeatedly also yields tied times.
+_GRID_HITS = (0.0, *pw.DELTA_GRID)
+
+
+@given(
+    st.lists(st.floats(0.0, 2.0) | st.sampled_from(_GRID_HITS), max_size=25),
+    st.lists(st.floats(-1.0, 3.0) | st.sampled_from(_GRID_HITS), max_size=25),
+)
+@settings(max_examples=100, deadline=None)
+def test_grid_counts_match_bruteforce_on_every_delta(par, chi):
+    par, chi = np.sort(par), np.sort(chi)
+    parents = train(par, 0.0, 2.0)
+    children = train(chi, -1.0, 3.0)
+    inside = chi[(chi >= 0) & (chi <= 2)]
+    dist = np.abs(np.subtract.outer(inside, par))
+    for g in pw.gaue_grid(parents, children, 2.0, 0.05):
+        brute = int(np.count_nonzero(dist <= g.delta))
+        assert g.x_t == brute
+        assert coincidence_count(parents, children, 2.0, g.delta) == brute
 
 
 def test_coincidence_monotone_in_delta():
