@@ -28,7 +28,14 @@ from .baselines import (
     kolmogorov_sf,
     ks_test,
 )
-from .coefficients import CoefficientField, NoParentsError, estimate_coefficients
+from .coefficients import (
+    CoefficientField,
+    NoParentsError,
+    PairSumField,
+    coefficient_matrix,
+    estimate_coefficients,
+    pair_cascade,
+)
 from .experiments import (
     LEVEL_DATASETS,
     POWER_DATASETS,
@@ -42,11 +49,9 @@ from .haar import (
     NONNEG,
     TWO_SIDED,
     IndexSet,
-    PairSumField,
     WaveletIndex,
     haar_antiderivative,
     haar_eval,
-    pair_cascade,
     uniform_shift_mean,
 )
 from .process import (
@@ -60,6 +65,7 @@ from .process import (
     read_events,
     scale_clip,
     scale_train,
+    times_in,
     write_events,
 )
 from .simulate import (

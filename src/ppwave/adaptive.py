@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import _batch_coefficients, estimate_coefficients
+from .coefficients import coefficient_matrix, estimate_coefficients
 from .haar import NONNEG, TWO_SIDED, IndexSet, WaveletIndex
-from .process import EventTrain, Window, parent_horizon, scale_clip
+from .process import EventTrain, Window, scale_clip
 from .simulate import as_generator
 
 __all__ = [
@@ -80,6 +80,11 @@ class TestConfig:
             raise ValueError("B must be an even integer >= 2")
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
+        self.index_set  # IndexSet validates j0 and side
+
+    @cached_property
+    def index_set(self) -> IndexSet:
+        return IndexSet(self.j0, self.side)
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,11 @@ class NullStatMatrix:
     def calibration_half(self) -> np.ndarray:
         return self.stats[self.n_rows // 2 :]
 
+    @cached_property
+    def sorted_quantile_half(self) -> np.ndarray:
+        """The quantile half sorted ascending per column."""
+        return np.sort(self.quantile_half, axis=0)
+
 
 def simulate_null_stats(
     parents: EventTrain,
@@ -130,16 +140,8 @@ def simulate_null_stats(
         raise ValueError("B must be an even integer >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if parents.count() == 0:
-        raise ValueError("null statistics require at least one parent")
-    T = parent_horizon(parents)
-    if m == 0:
-        return NullStatMatrix(np.zeros((B, idx.size)), idx)
-    rng = as_generator(seed)
-    draws = rng.uniform(obs.lo, obs.hi, size=(B, m))
-    rows = np.repeat(np.arange(B, dtype=np.int64), m)
-    beta = _batch_coefficients(parents.times, T, draws.ravel(), rows, B, idx)
-    return NullStatMatrix(np.abs(beta), idx)
+    draws = as_generator(seed).uniform(obs.lo, obs.hi, size=(B, m))
+    return NullStatMatrix(np.abs(coefficient_matrix(parents, draws, idx)), idx)
 
 
 def empirical_quantile(column, p: float) -> float:
@@ -183,7 +185,7 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0; 1)")
     w = np.asarray(weights, dtype=np.float64)
-    sorted_q = np.sort(nulls.quantile_half, axis=0)
+    sorted_q = nulls.sorted_quantile_half
     calib = nulls.calibration_half
     damping = np.exp(-w)
 
@@ -283,7 +285,7 @@ def run_multiple_test(
     threshold (strict inequality). Empty parent or child trains yield an
     accepting outcome with the no-information flag set.
     """
-    idx = IndexSet(config.j0, config.side)
+    idx = config.index_set
     n = parents.count()
     if n == 0:
         return _no_information_outcome(idx, 0, 0, config.scale, config.alpha)
@@ -296,9 +298,7 @@ def run_multiple_test(
     nulls = simulate_null_stats(scaled_parents, m, idx, config.B, analysis, seed)
     weights = aggregation_weights(idx)
     u_alpha = calibrate_u_alpha(nulls, weights, config.alpha)
-    thresholds = _thresholds(
-        np.sort(nulls.quantile_half, axis=0), u_alpha * np.exp(-weights)
-    )
+    thresholds = _thresholds(nulls.sorted_quantile_half, u_alpha * np.exp(-weights))
     single = coef.t_stat > thresholds
     return TestOutcome(
         reject=bool(single.any()),

@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .process import EventTrain, Window, pair_differences
+from .process import EventTrain, Window, pair_differences, times_in
 
 __all__ = [
     "KsResult",
@@ -76,8 +76,7 @@ def ks_test(children: EventTrain, obs: Window, alpha: float) -> KsResult:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0; 1)")
-    times = children.times
-    sel = times[(times >= obs.lo) & (times <= obs.hi)]
+    sel = times_in(children, obs)
     m = sel.size
     if m == 0:
         return KsResult(0.0, 1.0, False, no_information=True)
@@ -95,8 +94,9 @@ def _coincidences(parents: EventTrain, children: EventTrain, T: float, deltas):
     each count of pairs with |x - y| <= delta is then a binary search in the
     sorted |differences|, so it matches brute-force pair enumeration exactly.
     """
-    px = parents.times[(parents.times >= 0.0) & (parents.times <= T)]
-    cy = children.times[(children.times >= 0.0) & (children.times <= T)]
+    window = Window(0.0, T)
+    px = times_in(parents, window)
+    cy = times_in(children, window)
     diffs, _ = pair_differences(px, cy, max(deltas))
     counts = np.searchsorted(np.sort(np.abs(diffs)), deltas, side="right")
     return px.size, cy.size, counts

@@ -17,8 +17,14 @@ from .experiments import (
     run_power_experiment,
     write_report,
 )
-from .haar import NONNEG, TWO_SIDED, IndexSet
-from .process import conditioning_window, read_events, scale_clip, write_events
+from .haar import NONNEG, TWO_SIDED
+from .process import (
+    conditioning_window,
+    parent_horizon,
+    read_events,
+    scale_clip,
+    write_events,
+)
 from .simulate import DATASET_NAMES, DatasetId, RngSeed, make_dataset
 
 
@@ -71,9 +77,13 @@ def _add_test(sub):
 
 
 def _cmd_test(args) -> int:
-    parents = read_events(args.parents)
-    children = read_events(args.children)
-    T = parents.window.hi
+    try:
+        parents = read_events(args.parents)
+        children = read_events(args.children)
+        T = parent_horizon(parents)
+    except ValueError as exc:
+        print(f"ppwave test: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.method == "ks":
         res = ks_test(children, conditioning_window(T, args.scale), args.alpha)
@@ -100,9 +110,7 @@ def _cmd_test(args) -> int:
     )
     if args.coeffs_only:
         scaled_parents, observed, _ = scale_clip(parents, children, cfg.scale)
-        coef = estimate_coefficients(
-            scaled_parents, observed, IndexSet(cfg.j0, cfg.side)
-        )
+        coef = estimate_coefficients(scaled_parents, observed, cfg.index_set)
         print("j,k,beta_hat,t_stat")
         for ix, b, t in zip(
             coef.index_set.indices, coef.beta_hat, coef.t_stat

@@ -1,12 +1,15 @@
 """Unbiased wavelet coefficient estimates for parent/child trains.
 
-For each index, the raw pair sum over child-parent differences is corrected
-by the exact uniform-shift mean (closed form, no extra Monte-Carlo noise):
+This module owns the estimator kernel, coefficient_matrix: the dyadic-slot
+pair sums and the exact uniform-shift-mean correction over a (rows, m)
+matrix of child samples against one parent set. For each index,
 
-    beta_hat = (S - (n - 1) * sum_x E phi(x - U)) / n,   U ~ Unif[0; T].
+    beta_hat = (S - (n - 1) * sum_x E phi(x - U)) / n,   U ~ Unif[0; T],
 
-The same batched kernel evaluates one observed train or thousands of null
-resamples against a fixed parent set.
+where S is the raw pair sum over child-parent differences (closed form, no
+extra Monte-Carlo noise). The observed train is the one-row case
+(estimate_coefficients, pair_cascade) and the conditional null is the B-row
+case. The wavelet family and its closed forms come from haar.py.
 """
 
 from __future__ import annotations
@@ -18,13 +21,20 @@ import numpy as np
 from .haar import (
     IndexSet,
     WaveletIndex,
-    _pair_slot_counts,
-    _pair_sums_from_counts,
-    _shift_mean_matrix,
+    haar_amplitude,
+    haar_sign,
+    uniform_shift_mean,
 )
-from .process import EventTrain, parent_horizon
+from .process import EventTrain, pair_differences, parent_horizon
 
-__all__ = ["NoParentsError", "CoefficientField", "estimate_coefficients"]
+__all__ = [
+    "NoParentsError",
+    "CoefficientField",
+    "PairSumField",
+    "coefficient_matrix",
+    "estimate_coefficients",
+    "pair_cascade",
+]
 
 
 class NoParentsError(ValueError):
@@ -43,33 +53,106 @@ class CoefficientField:
         return float(self.beta_hat[self.index_set.position(index)])
 
 
-def _batch_coefficients(
-    parent_times: np.ndarray,
-    T: float,
-    values: np.ndarray,
-    rows: np.ndarray,
-    n_rows: int,
-    idx: IndexSet,
-) -> np.ndarray:
-    """Coefficient estimates for n_rows child samples against one parent set.
+@dataclass(frozen=True)
+class PairSumField:
+    """Raw double sums S_lambda = sum_x sum_u phi_lambda(x - u) over an IndexSet."""
 
-    values/rows are flat (child time, row id) pairs; returns (n_rows,
-    idx.size) signed estimates.
+    index_set: IndexSet
+    values: np.ndarray
+
+    def value(self, index: WaveletIndex) -> float:
+        return float(self.values[self.index_set.position(index)])
+
+
+def _slot_positions(j0: int) -> np.ndarray:
+    """Representatives of the 2^(j0+3)+1 dyadic slots covering [-1; 1].
+
+    Even slots are the exact grid points g*2^-(j0+1), odd slots the open bins
+    between them. Every wavelet with j <= j0 is constant on the open bins and
+    is evaluated exactly at the grid points, so integer slot counts determine
+    all pair sums with no boundary ambiguity.
     """
-    n = parent_times.size
-    js, ks = idx.js, idx.ks
-    counts = _pair_slot_counts(parent_times, values, rows, n_rows, idx.j0)
-    sums = _pair_sums_from_counts(counts, js, ks, idx.j0)
+    half = 2 ** (j0 + 1)
+    s = np.arange(2 ** (j0 + 3) + 1, dtype=np.float64)
+    return np.ldexp(0.5 * s - half, -(j0 + 1))
+
+
+def _pair_slot_counts(
+    parent_times: np.ndarray, samples: np.ndarray, j0: int
+) -> np.ndarray:
+    """Histogram of pair differences sample - parent over the dyadic slots.
+
+    samples is (rows, m); only pairs with |difference| <= 1 contribute.
+    Returns a (rows, n_slots) integer matrix.
+    """
+    n_rows = samples.shape[0]
+    half = 2 ** (j0 + 1)
+    n_slots = 2 ** (j0 + 3) + 1
+    diffs, cnt = pair_differences(parent_times, samples.ravel(), 1.0)
+    # Pairs sit in row order, so each row's candidates are one contiguous run.
+    row_pairs = cnt.reshape(samples.shape).sum(axis=1)
+    pair_rows = np.repeat(np.arange(n_rows, dtype=np.int64), row_pairs)
+    inside = np.abs(diffs) <= 1.0
+    diffs = diffs[inside]
+    pair_rows = pair_rows[inside]
+
+    scaled = np.ldexp(diffs, j0 + 1)  # exact: power-of-two multiply
+    floors = np.floor(scaled)
+    slot = 2 * (floors.astype(np.int64) + half) + 1
+    slot[scaled == floors] -= 1  # exact grid hits take the even slot
+    keys = pair_rows * n_slots + slot
+    flat = np.bincount(keys, minlength=n_rows * n_slots)
+    return flat.reshape(n_rows, n_slots)
+
+
+def _pair_sums(
+    parent_times: np.ndarray, samples: np.ndarray, idx: IndexSet
+) -> np.ndarray:
+    """(rows, idx.size) raw pair sums: integer net slot counts times 2^(j/2).
+
+    The matmul accumulates integers only (signs are -1/0/+1), so the result
+    is exact up to the single final scaling, matching naive summation.
+    """
+    counts = _pair_slot_counts(parent_times, samples, idx.j0)
+    pos = _slot_positions(idx.j0)
+    signs = np.stack([haar_sign(ix, pos) for ix in idx.indices])
+    return (counts.astype(np.float64) @ signs.T) * haar_amplitude(idx.js)
+
+
+def coefficient_matrix(
+    parents: EventTrain, samples: np.ndarray, idx: IndexSet
+) -> np.ndarray:
+    """Signed coefficient estimates for each row of child times against parents.
+
+    samples is a (rows, m) float array, one child sample per row, in any
+    order within a row; returns (rows, idx.size) estimates. parents must be
+    observed on [0; T].
+
+    Raises
+    ------
+    NoParentsError
+        If the parent train is empty.
+    """
+    n = parents.count()
+    if n == 0:
+        raise NoParentsError("coefficient estimates require at least one parent")
+    T = parent_horizon(parents)
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2:
+        raise ValueError("samples must be a (rows, m) matrix")
+    sums = _pair_sums(parents.times, samples, idx)
 
     correction = np.zeros_like(sums)
     # The shift mean vanishes unless x or x - T falls in [-1; 1].
-    near = (np.abs(values) <= 1.0) | (np.abs(values - T) <= 1.0)
+    near = (np.abs(samples) <= 1.0) | (np.abs(samples - T) <= 1.0)
     if near.any():
-        shift_means = _shift_mean_matrix(values[near], js, ks, T)
-        near_rows = rows[near]
-        for p in range(js.size):
+        near_rows = np.nonzero(near)[0]
+        values = samples[near]
+        for p, index in enumerate(idx.indices):
             correction[:, p] = np.bincount(
-                near_rows, weights=shift_means[:, p], minlength=n_rows
+                near_rows,
+                weights=uniform_shift_mean(index, values, T),
+                minlength=samples.shape[0],
             )
     return (sums - (n - 1) * correction) / n
 
@@ -94,10 +177,18 @@ def estimate_coefficients(
     NoParentsError
         If the parent train is empty.
     """
-    if parents.count() == 0:
-        raise NoParentsError("coefficient estimates require at least one parent")
-    T = parent_horizon(parents)
-    values = np.asarray(children.times, dtype=np.float64)
-    rows = np.zeros(values.size, dtype=np.int64)
-    beta = _batch_coefficients(parents.times, T, values, rows, 1, idx)[0]
+    beta = coefficient_matrix(parents, children.times[None, :], idx)[0]
     return CoefficientField(idx, beta, np.abs(beta))
+
+
+def pair_cascade(
+    children: EventTrain, parents: EventTrain, idx: IndexSet
+) -> PairSumField:
+    """All raw sums S_lambda = sum_x sum_u phi_lambda(x - u) for an IndexSet.
+
+    Pairs are located by a sorted sweep restricted to |x - u| <= 1, binned
+    once into dyadic slots, and reduced bottom-up; cost is O(pairs in range +
+    2^j0) instead of the naive O(n * m * |indices|).
+    """
+    sums = _pair_sums(parents.times, children.times[None, :], idx)
+    return PairSumField(idx, sums[0])

@@ -14,12 +14,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .adaptive import TestConfig, run_multiple_test
 from .baselines import DELTA_GRID, gaue_grid, ks_test
-from .haar import NONNEG, TWO_SIDED
+from .haar import TWO_SIDED
 from .process import conditioning_window
 from .simulate import DATASET_NAMES, DatasetId, make_dataset
 
@@ -68,17 +69,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.R < 1:
             raise ValueError("R must be >= 1")
-        if self.B < 2 or self.B % 2:
-            raise ValueError("B must be an even integer >= 2")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0; 1)")
-        if self.side not in (TWO_SIDED, NONNEG):
-            raise ValueError(f"side must be {TWO_SIDED!r} or {NONNEG!r}")
+        if self.T <= 0:
+            raise ValueError("T must be > 0")
+        self.test_config  # TestConfig validates alpha, B, j0, side and scale
         for name in self.datasets:
             DatasetId(name)
         unknown = set(self.methods) - set(_KNOWN_METHODS)
         if unknown or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {_KNOWN_METHODS}")
+
+    @cached_property
+    def test_config(self) -> TestConfig:
+        """The per-replicate test configuration (a derived value, not a field)."""
+        return TestConfig(
+            alpha=self.alpha, j0=self.j0, side=self.side, B=self.B, scale=self.scale
+        )
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,10 @@ class ExperimentReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _ci_halfwidth(rate: float, R: int) -> float:
-    return 1.96 * np.sqrt(rate * (1.0 - rate) / R)
+def _rate_row(dataset: str, method: str, label: str, rate: float, R: int) -> ReportRow:
+    """Report row carrying the rate's binomial 95% confidence halfwidth."""
+    halfwidth = float(1.96 * np.sqrt(rate * (1.0 - rate) / R))
+    return ReportRow(dataset, method, label, rate, halfwidth, R)
 
 
 def _replicate(task: tuple[ExperimentConfig, str, int]) -> dict:
@@ -147,10 +154,7 @@ def _replicate(task: tuple[ExperimentConfig, str, int]) -> dict:
     out = {}
     if "wavelet" in cfg.methods:
         null_seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(ds_pos, r, 1))
-        test_cfg = TestConfig(
-            alpha=cfg.alpha, j0=cfg.j0, side=cfg.side, B=cfg.B, scale=cfg.scale
-        )
-        outcome = run_multiple_test(parents, children, test_cfg, seed=null_seq)
+        outcome = run_multiple_test(parents, children, cfg.test_config, seed=null_seq)
         out["wavelet"] = outcome.reject
         out["u_alpha"] = outcome.u_alpha
     if "ks" in cfg.methods:
@@ -190,28 +194,11 @@ def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     ("median", np.median(per_delta)),
                     ("max", per_delta.max()),
                 ):
-                    report.rows.append(
-                        ReportRow(
-                            name,
-                            "gaue",
-                            label,
-                            float(value),
-                            float(_ci_halfwidth(float(value), cfg.R)),
-                            cfg.R,
-                        )
-                    )
+                    rate = float(value)
+                    report.rows.append(_rate_row(name, "gaue", label, rate, cfg.R))
             else:
                 rate = float(np.mean([rec[method] for rec in recs]))
-                report.rows.append(
-                    ReportRow(
-                        name,
-                        method,
-                        "",
-                        rate,
-                        float(_ci_halfwidth(rate, cfg.R)),
-                        cfg.R,
-                    )
-                )
+                report.rows.append(_rate_row(name, method, "", rate, cfg.R))
         if "wavelet" in cfg.methods:
             u_values = [rec["u_alpha"] for rec in recs]
             report.u_alpha_min[name] = float(min(u_values))

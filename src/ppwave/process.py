@@ -15,6 +15,7 @@ __all__ = [
     "Window",
     "EventTrain",
     "InteractionModel",
+    "times_in",
     "count_in",
     "scale_train",
     "parent_horizon",
@@ -113,11 +114,16 @@ class InteractionModel:
             raise ValueError("T must be > 0")
 
 
-def count_in(train: EventTrain, w: Window) -> int:
-    """Number of events t with w.lo <= t <= w.hi (both endpoints inside)."""
+def times_in(train: EventTrain, w: Window) -> np.ndarray:
+    """The sorted times t with w.lo <= t <= w.hi (both endpoints inside)."""
     lo = np.searchsorted(train.times, w.lo, side="left")
     hi = np.searchsorted(train.times, w.hi, side="right")
-    return int(hi - lo)
+    return train.times[lo:hi]
+
+
+def count_in(train: EventTrain, w: Window) -> int:
+    """Number of events t with w.lo <= t <= w.hi (both endpoints inside)."""
+    return int(times_in(train, w).size)
 
 
 def scale_train(train: EventTrain, factor: float) -> EventTrain:
@@ -155,8 +161,7 @@ def scale_clip(
     sp = scale_train(parents, scale)
     sc = scale_train(children, scale)
     window = conditioning_window(parent_horizon(sp), 1.0)
-    keep = (sc.times >= window.lo) & (sc.times <= window.hi)
-    return sp, EventTrain(sc.times[keep], window), window
+    return sp, EventTrain(times_in(sc, window), window), window
 
 
 # Slack added to the reach when pre-selecting pairs by searchsorted. Candidates

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 import ppwave as pw
 from ppwave.baselines import coincidence_count
-from ppwave.haar import _pair_slot_counts  # noqa: F401  (import check only)
+from ppwave.coefficients import _pair_slot_counts  # noqa: F401  (import check only)
 
 MASTER_SEED = 20260810
 WORKERS = os.cpu_count() or 1

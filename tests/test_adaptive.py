@@ -231,6 +231,19 @@ def quick_config(B=600, **kw):
     return pw.TestConfig(B=B, **kw)
 
 
+def test_config_validation():
+    for bad in (
+        dict(alpha=0.0),
+        dict(B=3),
+        dict(scale=0.0),
+        dict(j0=-1),
+        dict(side="bogus"),
+    ):
+        with pytest.raises(ValueError):
+            pw.TestConfig(**bad)
+    assert pw.TestConfig(j0=2, side=pw.NONNEG).index_set == pw.IndexSet(2, pw.NONNEG)
+
+
 def test_outcome_deterministic_and_consistent():
     parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 1.0, pw.RngSeed(44))
     cfg = quick_config()

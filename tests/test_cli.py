@@ -120,6 +120,28 @@ def test_ks_and_gaue_methods(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 42
 
 
+@pytest.mark.parametrize(
+    "mode",
+    [
+        ("--method", "wavelet"),
+        ("--coeffs-only",),
+        ("--method", "ks"),
+        ("--method", "gaue"),
+    ],
+)
+def test_parent_window_must_start_at_zero(tmp_path, capsys, mode):
+    pfile, cfile = simulate_files(tmp_path, capsys)
+    bad = tmp_path / "p_shifted.txt"
+    bad.write_text("# window 0.5 2.0\n0.7\n1.2\n")
+    code = main(["test", "--parents", str(bad), "--children", cfile, *mode])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "ppwave test: error: parent train must be observed on [0; T]\n"
+    )
+
+
 def test_level_command_with_config_and_out(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

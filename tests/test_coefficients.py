@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppwave as pw
 from ppwave.coefficients import NoParentsError
@@ -128,3 +130,34 @@ def test_mean_zero_under_null():
     draws = scaled_data80_coefficients(202, R, idx, dataset="Data_0")
     se = draws.std(axis=0, ddof=1) / np.sqrt(R)
     assert np.all(np.abs(draws.mean(axis=0)) <= 3 * se)
+
+
+@given(
+    st.lists(st.floats(0.0, 6.0), min_size=1, max_size=12),
+    st.integers(1, 5),
+    st.integers(0, 8),
+    st.integers(0, 3),
+    st.sampled_from([pw.TWO_SIDED, pw.NONNEG]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_matrix_rows_equal_one_row_calls(par, rows, m, j0, side, seed):
+    # the B-row null kernel and the one-row observed call agree bit for bit
+    parents = train(np.sort(par), 0.0, 6.0)
+    idx = pw.IndexSet(j0, side)
+    rng = np.random.default_rng(seed)
+    samples = np.sort(rng.uniform(-1.5, 7.5, size=(rows, m)), axis=1)
+    batch = pw.coefficient_matrix(parents, samples, idx)
+    assert batch.shape == (rows, idx.size)
+    for b in range(rows):
+        one = pw.coefficient_matrix(parents, samples[b][None, :], idx)[0]
+        assert np.array_equal(batch[b], one)
+        coef = pw.estimate_coefficients(parents, train(samples[b], -1.5, 7.5), idx)
+        assert np.array_equal(coef.beta_hat, one)
+
+
+def test_matrix_requires_two_dimensional_samples():
+    with pytest.raises(ValueError):
+        pw.coefficient_matrix(
+            train([0.5], 0.0, 1.0), np.array([0.2, 0.4]), pw.IndexSet(1)
+        )

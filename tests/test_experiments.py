@@ -32,6 +32,25 @@ def test_config_validation():
         tiny_config(methods=("wavelet", "anova"))
     with pytest.raises(ValueError):
         tiny_config(methods=())
+    for bad in (
+        dict(scale=0.0),
+        dict(T=0.0),
+        dict(T=-1.0),
+        dict(j0=-1),
+        dict(side="bogus"),
+    ):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
+
+
+def test_config_derives_test_config():
+    cfg = tiny_config(alpha=0.1, j0=2, side=pw.NONNEG, B=40, scale=25.0)
+    assert cfg.test_config == pw.TestConfig(
+        alpha=0.1, j0=2, side=pw.NONNEG, B=40, scale=25.0
+    )
+    assert "test_config" not in json.loads(
+        pw.ExperimentReport([], cfg, 0.0).to_json()
+    )["config"]
 
 
 def test_level_requires_null_dataset():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import ppwave as pw
-from ppwave.haar import _pair_slot_counts, _slot_positions
+from ppwave.coefficients import _pair_slot_counts, _slot_positions
 
 SQRT2 = math.sqrt(2.0)
 
@@ -175,8 +175,6 @@ def test_slot_machinery_covers_unit_interval():
     pos = _slot_positions(3)
     assert pos[0] == -1.0 and pos[-1] == 1.0
     assert len(pos) == 2 ** (3 + 3) + 1
-    counts = _pair_slot_counts(
-        np.array([0.0]), np.array([-1.0, 1.0, 0.5]), np.zeros(3, dtype=np.int64), 1, 3
-    )
+    counts = _pair_slot_counts(np.array([0.0]), np.array([[-1.0, 1.0, 0.5]]), 3)
     assert counts.sum() == 3  # endpoints included, grid hits take even slots
     assert counts[0, 0] == 1 and counts[0, -1] == 1
