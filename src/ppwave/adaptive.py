@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import coefficient_matrix, estimate_coefficients
-from .haar import NONNEG, TWO_SIDED, IndexSet, WaveletIndex
+from .haar import TWO_SIDED, IndexSet, WaveletIndex
 from .process import EventTrain, Window, scale_clip
 from .simulate import as_generator
 
@@ -40,22 +40,15 @@ _LOG_PI_OVER_SQRT6 = math.log(math.pi / math.sqrt(6.0))
 def aggregation_weight(index: WaveletIndex, side: str = TWO_SIDED) -> float:
     """Weight w = 2(ln(j+1) + ln(pi/sqrt(6))) + ln|K_j| for one index.
 
-    |K_j| is 2^(j+1) for the two-sided family and 2^j for the nonnegative
-    one, keeping sum(exp(-w)) <= 1 in both cases. The value depends on j
+    K_j is the family's translation range at resolution j (IndexSet.k_range),
+    which keeps sum(exp(-w)) <= 1 for either side. The value depends on j
     only.
     """
-    if side == TWO_SIDED:
-        if not index.in_family():
-            raise ValueError(f"{index} lies outside the two-sided family")
-        n_translations = 2 ** (index.j + 1)
-    elif side == NONNEG:
-        if not 0 <= index.k <= 2**index.j - 1:
-            raise ValueError(f"{index} lies outside the nonnegative family")
-        n_translations = 2**index.j
-    else:
-        raise ValueError(f"unknown side {side!r}")
+    translations = IndexSet(index.j, side).k_range(index.j)
+    if index.k not in translations:
+        raise ValueError(f"{index} lies outside the {side} family")
     return 2.0 * (math.log(index.j + 1) + _LOG_PI_OVER_SQRT6) + math.log(
-        n_translations
+        len(translations)
     )
 
 
@@ -154,6 +147,8 @@ def empirical_quantile(column, p: float) -> float:
     col = np.asarray(column, dtype=np.float64)
     if col.ndim != 1 or col.size == 0:
         raise ValueError("column must be a nonempty one-dimensional sample")
+    if np.any(np.diff(col) < 0):
+        raise ValueError("column must be sorted ascending")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0; 1]")
     return float(_thresholds(col[:, None], np.array([p]))[0])
@@ -185,6 +180,10 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0; 1)")
     w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (nulls.index_set.size,):
+        raise ValueError(
+            f"weights must have shape ({nulls.index_set.size},), got {w.shape}"
+        )
     sorted_q = nulls.sorted_quantile_half
     calib = nulls.calibration_half
     damping = np.exp(-w)

@@ -23,6 +23,7 @@ __all__ = [
     "DELTA_GRID",
     "kolmogorov_sf",
     "ks_test",
+    "coincidence_count",
     "gaue_test",
     "gaue_grid",
 ]

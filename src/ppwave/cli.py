@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -56,11 +57,11 @@ def _add_test(sub):
     p.add_argument("--parents", required=True, help="parent events on [0; T]")
     p.add_argument("--children", required=True)
     p.add_argument("--method", choices=("wavelet", "ks", "gaue"), default="wavelet")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--j0", type=int, default=3)
-    p.add_argument("--side", choices=(TWO_SIDED, NONNEG), default=TWO_SIDED)
-    p.add_argument("--B", type=int, default=20000)
-    p.add_argument("--scale", type=float, default=50.0)
+    p.add_argument("--alpha", type=float, default=TestConfig.alpha)
+    p.add_argument("--j0", type=int, default=TestConfig.j0)
+    p.add_argument("--side", choices=(TWO_SIDED, NONNEG), default=TestConfig.side)
+    p.add_argument("--B", type=int, default=TestConfig.B)
+    p.add_argument("--scale", type=float, default=TestConfig.scale)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, help="single delay for --method gaue")
     p.add_argument(
@@ -77,16 +78,15 @@ def _add_test(sub):
 
 
 def _cmd_test(args) -> int:
-    try:
-        parents = read_events(args.parents)
-        children = read_events(args.children)
-        T = parent_horizon(parents)
-    except ValueError as exc:
-        print(f"ppwave test: error: {exc}", file=sys.stderr)
-        return 2
+    cfg = TestConfig(
+        alpha=args.alpha, j0=args.j0, side=args.side, B=args.B, scale=args.scale
+    )
+    parents = read_events(args.parents)
+    children = read_events(args.children)
+    T = parent_horizon(parents)
 
     if args.method == "ks":
-        res = ks_test(children, conditioning_window(T, args.scale), args.alpha)
+        res = ks_test(children, conditioning_window(T, cfg.scale), cfg.alpha)
         print(f"d_stat: {res.d_stat:.6f}")
         print(f"p_value: {res.p_value:.6g}")
         print(f"decision: {'reject' if res.reject else 'accept'}")
@@ -94,9 +94,9 @@ def _cmd_test(args) -> int:
 
     if args.method == "gaue":
         if args.delta_grid or args.delta is None:
-            results = gaue_grid(parents, children, T, args.alpha)
+            results = gaue_grid(parents, children, T, cfg.alpha)
         else:
-            results = [gaue_test(parents, children, T, args.delta, args.alpha)]
+            results = [gaue_test(parents, children, T, args.delta, cfg.alpha)]
         print("delta,x_t,m0_hat,sigma_hat,reject")
         for g in results:
             print(
@@ -105,9 +105,6 @@ def _cmd_test(args) -> int:
         print(f"decision: {'reject' if any(g.reject for g in results) else 'accept'}")
         return 0
 
-    cfg = TestConfig(
-        alpha=args.alpha, j0=args.j0, side=args.side, B=args.B, scale=args.scale
-    )
     if args.coeffs_only:
         scaled_parents, observed, _ = scale_clip(parents, children, cfg.scale)
         coef = estimate_coefficients(scaled_parents, observed, cfg.index_set)
@@ -144,7 +141,19 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _add_experiment(sub, name, help_text):
+# command -> (help, runner, datasets, default R, paper-scale R); the
+# paper-scale preset also sets B to the TestConfig default.
+_EXPERIMENTS = {
+    "level": ("empirical type-I error benchmark", run_level_experiment,
+              LEVEL_DATASETS, 1000, 5000),
+    "power": ("empirical power benchmark", run_power_experiment,
+              POWER_DATASETS, 500, 1000),
+}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _add_experiment(sub, name):
+    help_text, _, _, _, paper_R = _EXPERIMENTS[name]
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="JSON file of ExperimentConfig fields")
     p.add_argument("--R", type=int)
@@ -160,30 +169,28 @@ def _add_experiment(sub, name, help_text):
     p.add_argument(
         "--paper-scale",
         action="store_true",
-        help="table-scale preset: R=5000 (level) or 1000 (power), B=20000",
+        help=f"table-scale preset: R={paper_R}, B={TestConfig.B}",
     )
     p.add_argument("--out", help="output path; writes CSV plus a JSON sidecar")
-    p.set_defaults(func=_cmd_level if name == "level" else _cmd_power)
+    p.set_defaults(func=_cmd_experiment)
 
 
 def _experiment_config(args, kind: str) -> ExperimentConfig:
-    fields: dict = {}
-    if kind == "level":
-        fields["datasets"] = LEVEL_DATASETS
-        fields["R"] = 1000
-    else:
-        fields["datasets"] = POWER_DATASETS
-        fields["R"] = 500
+    _, _, datasets, R, paper_R = _EXPERIMENTS[kind]
+    fields: dict = {"datasets": datasets, "R": R}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        unknown = sorted(set(loaded) - _CONFIG_FIELDS)
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config keys {unknown}")
         for key in ("datasets", "methods"):
             if key in loaded:
                 loaded[key] = tuple(loaded[key])
         fields.update(loaded)
     if args.paper_scale:
-        fields["R"] = 5000 if kind == "level" else 1000
-        fields["B"] = 20000
+        fields["R"] = paper_R
+        fields["B"] = TestConfig.B
     overrides = {
         "R": args.R,
         "B": args.B,
@@ -202,22 +209,14 @@ def _experiment_config(args, kind: str) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def _emit_report(report, out) -> int:
-    sys.stdout.write(report.to_csv())
-    if out:
-        csv_path, json_path = write_report(report, out)
+def _cmd_experiment(args) -> int:
+    run = _EXPERIMENTS[args.command][1]
+    report = run(_experiment_config(args, args.command))
+    if args.out:
+        csv_path, json_path = write_report(report, args.out)
         print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
+    sys.stdout.write(report.to_csv())
     return 0
-
-
-def _cmd_level(args) -> int:
-    report = run_level_experiment(_experiment_config(args, "level"))
-    return _emit_report(report, args.out)
-
-
-def _cmd_power(args) -> int:
-    report = run_power_experiment(_experiment_config(args, "power"))
-    return _emit_report(report, args.out)
 
 
 def main(argv=None) -> int:
@@ -228,10 +227,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     _add_simulate(sub)
     _add_test(sub)
-    _add_experiment(sub, "level", "empirical type-I error benchmark")
-    _add_experiment(sub, "power", "empirical power benchmark")
+    for name in _EXPERIMENTS:
+        _add_experiment(sub, name)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"ppwave {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -54,8 +54,8 @@ class WaveletIndex:
         return (self.k * w, (self.k + 1) * w)
 
     def in_family(self) -> bool:
-        """Whether k lies in the two-sided translation range {-2^j, ..., 2^j - 1}."""
-        return -(2**self.j) <= self.k <= 2**self.j - 1
+        """Whether k lies in the two-sided translation range of resolution j."""
+        return self.k in IndexSet(self.j).k_range(self.j)
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,15 @@ class IndexSet:
         if self.side not in (TWO_SIDED, NONNEG):
             raise ValueError(f"side must be {TWO_SIDED!r} or {NONNEG!r}")
 
+    def k_range(self, j: int) -> range:
+        """Translations k of resolution j in this family, in increasing order."""
+        return range(-(2**j) if self.side == TWO_SIDED else 0, 2**j)
+
     @cached_property
     def indices(self) -> tuple[WaveletIndex, ...]:
-        out = []
-        for j in range(self.j0 + 1):
-            k_lo = -(2**j) if self.side == TWO_SIDED else 0
-            out.extend(WaveletIndex(j, k) for k in range(k_lo, 2**j))
-        return tuple(out)
+        return tuple(
+            WaveletIndex(j, k) for j in range(self.j0 + 1) for k in self.k_range(j)
+        )
 
     @cached_property
     def js(self) -> np.ndarray:

@@ -121,12 +121,7 @@ def sim_homogeneous_poisson(rate: float, w: Window, seed) -> EventTrain:
     return EventTrain(times, w)
 
 
-def sim_child_process(
-    parents: EventTrain,
-    model: InteractionModel,
-    obs: Window | None = None,
-    seed=None,
-) -> EventTrain:
+def sim_child_process(parents: EventTrain, model: InteractionModel, seed) -> EventTrain:
     """Children of a parent train: orphans plus per-parent descendant clusters.
 
     Parameters
@@ -135,22 +130,20 @@ def sim_child_process(
         Parent events, all inside [0; model.T].
     model : InteractionModel
         Rates and step kernel theta*1_[nu; b_support].
-    obs : Window, optional
-        Observation window for the children, default [-1; T+1]. Descendants of
-        parents in [0; T] fall inside it automatically when b_support <= 1.
     seed
         Anything accepted by :func:`as_generator`.
 
     Returns
     -------
     EventTrain
-        Sorted superposition of orphans and descendants on ``obs``.
+        Sorted superposition of orphans and descendants, observed on
+        [-1; T+1]. Descendants of parents in [0; T] fall inside it
+        automatically when b_support <= 1.
     """
-    if obs is None:
-        obs = Window(-1.0, model.T + 1.0)
     if parents.count() and (parents.times[0] < 0 or parents.times[-1] > model.T):
         raise ValueError("parents must lie in [0; T]")
     rng = as_generator(seed)
+    obs = Window(-1.0, model.T + 1.0)
 
     n_orphans = rng.poisson(model.mu_c * obs.length)
     orphans = rng.uniform(obs.lo, obs.hi, size=n_orphans)

@@ -46,6 +46,8 @@ def test_weight_family_membership():
         pw.aggregation_weight(pw.WaveletIndex(1, 2))  # k outside K_1
     with pytest.raises(ValueError):
         pw.aggregation_weight(pw.WaveletIndex(1, -1), pw.NONNEG)
+    with pytest.raises(ValueError):
+        pw.aggregation_weight(pw.WaveletIndex(0, 0), "sideways")
 
 
 # --- empirical quantiles -----------------------------------------------------
@@ -61,6 +63,8 @@ def test_quantile_rank_examples():
         pw.empirical_quantile(col, 0.0)
     with pytest.raises(ValueError):
         pw.empirical_quantile(np.array([]), 0.5)
+    with pytest.raises(ValueError):
+        pw.empirical_quantile(np.array([3.0, 1.0, 2.0]), 0.5)  # not sorted
 
 
 def test_quantile_rank_float_robustness():
@@ -209,6 +213,15 @@ def test_calibration_single_index_zero_weight():
     stats = rng.uniform(size=(4000, 1))
     u = pw.calibrate_u_alpha(pw.NullStatMatrix(stats, idx), np.zeros(1), 0.05)
     assert 0.05 <= u <= 0.05 + 0.04
+
+
+def test_calibration_weights_match_columns():
+    rng = np.random.default_rng(48)
+    idx = pw.IndexSet(3)
+    nulls = _null_matrix(rng, 200, idx)
+    for bad in ([3.0], np.zeros(7), np.zeros((idx.size, 1))):
+        with pytest.raises(ValueError):
+            pw.calibrate_u_alpha(nulls, bad, 0.05)
 
 
 def test_thresholds_monotone_in_u():

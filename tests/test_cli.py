@@ -142,6 +142,56 @@ def test_parent_window_must_start_at_zero(tmp_path, capsys, mode):
     )
 
 
+# Invalid settings and unreadable files -> (invocation, part of the message);
+# {name} fields are filled per test.
+INVALID_INVOCATIONS = {
+    "odd-B": ("test --parents {p} --children {c} --B 3", "B must be an even"),
+    "ks-odd-B": (
+        "test --parents {p} --children {c} --method ks --B 3",
+        "B must be an even",
+    ),
+    "missing-file": ("test --parents {missing} --children {c}", "No such file"),
+    "gaue-delta": (
+        "test --parents {p} --children {c} --method gaue --delta 5",
+        "delta must lie in (0; T)",
+    ),
+    "ks-alpha": (
+        "test --parents {p} --children {c} --method ks --alpha 1.5",
+        "alpha must lie in (0; 1)",
+    ),
+    "level-T": ("level --R 1 --T 0", "T must be > 0"),
+    "level-no-null": ("level --R 1 --datasets Data_80", "must include Data_0"),
+    "config-key": ("level --config {bogus}", "unknown config keys ['bogus', 'extra']"),
+    "missing-config": ("power --config {missing}", "No such file"),
+    "unwritable-out": (
+        "level --R 1 --B 100 --workers 1 --methods ks --out {missing}/level.csv",
+        "No such file",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "invocation, message",
+    INVALID_INVOCATIONS.values(),
+    ids=INVALID_INVOCATIONS.keys(),
+)
+def test_invalid_settings_exit_2_with_one_error_line(
+    tmp_path, capsys, invocation, message
+):
+    pfile, cfile = simulate_files(tmp_path, capsys)
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"R": 2, "extra": 2, "bogus": 1}))
+    paths = {"p": pfile, "c": cfile, "missing": tmp_path / "missing", "bogus": bogus}
+    argv = [arg.format(**paths) for arg in invocation.split()]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"ppwave {argv[0]}: error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_level_command_with_config_and_out(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ppwave as pw
@@ -154,6 +154,31 @@ def test_matrix_rows_equal_one_row_calls(par, rows, m, j0, side, seed):
         assert np.array_equal(batch[b], one)
         coef = pw.estimate_coefficients(parents, train(samples[b], -1.5, 7.5), idx)
         assert np.array_equal(coef.beta_hat, one)
+
+
+@given(
+    st.sampled_from(pw.DATASET_NAMES),
+    st.sampled_from([1.0, 2.0]),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_index_column_independent_of_family(name, T, j0, seed):
+    # an index's observed and null columns are the same bits in every
+    # IndexSet containing it, whatever j0 and side
+    parents, children = pw.make_dataset(pw.DatasetId(name), T, seed)
+    sp, observed, window = pw.scale_clip(parents, children, 50.0)
+    assume(sp.count() > 0)
+    columns = {}
+    for j in range(j0 + 1):
+        for side in (pw.TWO_SIDED, pw.NONNEG):
+            idx = pw.IndexSet(j, side)
+            beta = pw.estimate_coefficients(sp, observed, idx).beta_hat
+            nulls = pw.simulate_null_stats(sp, observed.count(), idx, 8, window, seed)
+            for p, ix in enumerate(idx.indices):
+                bits = beta[p].tobytes() + nulls.stats[:, p].tobytes()
+                columns.setdefault(ix, set()).add(bits)
+    assert all(len(found) == 1 for found in columns.values())
 
 
 def test_matrix_requires_two_dimensional_samples():

@@ -1,6 +1,8 @@
 """Package layout rules checked on the source itself."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import ppwave
@@ -20,3 +22,19 @@ def test_no_module_imports_another_modules_private_name():
                 if internal and alias.name.startswith("_"):
                     offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert offenders == []
+
+
+def test_package_exports_the_union_of_module_export_lists():
+    # each module's __all__ is its one export list; the package adds no other
+    declared = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"ppwave.{path.stem}")
+            declared.update(getattr(module, "__all__", ()))
+    exported = {
+        name
+        for name, value in vars(ppwave).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == declared
+    assert sorted(ppwave.__all__) == sorted(declared)

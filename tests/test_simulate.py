@@ -65,6 +65,9 @@ def test_child_process_input_validation():
     model = pw.InteractionModel(mu_p=50, mu_c=20, theta=0, nu=0.0, T=2.0)
     with pytest.raises(ValueError):
         pw.sim_child_process(parents, model, seed=pw.RngSeed(0))  # parent beyond T
+    inside = pw.EventTrain(np.array([1.5]), pw.Window(0.0, 2.0))
+    with pytest.raises(TypeError):
+        pw.sim_child_process(inside, model)  # the seed is required
 
 
 def test_dataset_catalog():
