@@ -149,7 +149,18 @@ _EXPERIMENTS = {
     "power": ("empirical power benchmark", run_power_experiment,
               POWER_DATASETS, 500, 1000),
 }
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# --config form of each ExperimentConfig annotation (type() of a JSON bool is bool).
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "int | None": ("an integer or null", lambda v: v is None or type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "str": ("a string", lambda v: type(v) is str),
+    "tuple[str, ...]": ("a list of strings", lambda v: type(v) is list
+                        and all(type(item) is str for item in v)),
+}
+_CONFIG_TYPES = {
+    f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 def _add_experiment(sub, name):
@@ -181,13 +192,16 @@ def _experiment_config(args, kind: str) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        unknown = sorted(set(loaded) - _CONFIG_FIELDS)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(loaded) - set(_CONFIG_TYPES))
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}")
-        for key in ("datasets", "methods"):
-            if key in loaded:
-                loaded[key] = tuple(loaded[key])
-        fields.update(loaded)
+        for key, value in loaded.items():
+            kind, valid = _CONFIG_TYPES[key]
+            if not valid(value):
+                raise ValueError(f"{args.config}: {key} must be {kind}")
+            fields[key] = tuple(value) if isinstance(value, list) else value
     if args.paper_scale:
         fields["R"] = paper_R
         fields["B"] = TestConfig.B

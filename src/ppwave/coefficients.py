@@ -9,7 +9,8 @@ matrix of child samples against one parent set. For each index,
 where S is the raw pair sum over child-parent differences (closed form, no
 extra Monte-Carlo noise). The observed train is the one-row case
 (estimate_coefficients, pair_cascade) and the conditional null is the B-row
-case. The wavelet family and its closed forms come from haar.py.
+case, walked in fixed-size row blocks. The wavelet family and its closed
+forms come from haar.py.
 """
 
 from __future__ import annotations
@@ -105,18 +106,32 @@ def _pair_slot_counts(
     return flat.reshape(n_rows, n_slots)
 
 
+# Entries per row block of a (rows, m) sample matrix: a block holds about this
+# many draws or slot counts, so the kernel's temporaries do not grow with rows.
+_BLOCK_SIZE = 2**15
+
+
 def _pair_sums(
     parent_times: np.ndarray, samples: np.ndarray, idx: IndexSet
 ) -> np.ndarray:
     """(rows, idx.size) raw pair sums: integer net slot counts times 2^(j/2).
 
-    The matmul accumulates integers only (signs are -1/0/+1), so the result
-    is exact up to the single final scaling, matching naive summation.
+    Each row block is sorted along its rows, which keeps the pair search
+    cache-friendly; integer counts do not depend on order. The matmul
+    accumulates integers only (signs are -1/0/+1), so the result is exact up
+    to the single final scaling, matching naive summation.
     """
-    counts = _pair_slot_counts(parent_times, samples, idx.j0)
     pos = _slot_positions(idx.j0)
-    signs = np.stack([haar_sign(ix, pos) for ix in idx.indices])
-    return (counts.astype(np.float64) @ signs.T) * haar_amplitude(idx.js)
+    signs = np.stack([haar_sign(ix, pos) for ix in idx.indices]).T
+    amplitude = haar_amplitude(idx.js)
+    rows, m = samples.shape
+    step = max(1, _BLOCK_SIZE // max(m, pos.size))
+    sums = np.empty((rows, idx.size))
+    for start in range(0, rows, step):
+        block = np.sort(samples[start : start + step], axis=1)
+        counts = _pair_slot_counts(parent_times, block, idx.j0)
+        sums[start : start + step] = (counts.astype(np.float64) @ signs) * amplitude
+    return sums
 
 
 def coefficient_matrix(
@@ -140,21 +155,24 @@ def coefficient_matrix(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError("samples must be a (rows, m) matrix")
-    sums = _pair_sums(parents.times, samples, idx)
+    out = _pair_sums(parents.times, samples, idx)
 
-    correction = np.zeros_like(sums)
-    # The shift mean vanishes unless x or x - T falls in [-1; 1].
-    near = (np.abs(samples) <= 1.0) | (np.abs(samples - T) <= 1.0)
-    if near.any():
-        near_rows = np.nonzero(near)[0]
-        values = samples[near]
-        for p, index in enumerate(idx.indices):
-            correction[:, p] = np.bincount(
-                near_rows,
-                weights=uniform_shift_mean(index, values, T),
-                minlength=samples.shape[0],
-            )
-    return (sums - (n - 1) * correction) / n
+    # The shift mean vanishes unless x or x - T falls in [-1; 1]. Near values
+    # are gathered in row-major order, the order the float sums accumulate in.
+    rows, m = samples.shape
+    step = max(1, _BLOCK_SIZE // max(m, 1))
+    near_rows, values = [np.empty(0, np.intp)], [np.empty(0)]
+    for start in range(0, rows, step):
+        block = samples[start : start + step]
+        near = (np.abs(block) <= 1.0) | (np.abs(block - T) <= 1.0)
+        near_rows.append(np.nonzero(near)[0] + start)
+        values.append(block[near])
+    near_rows, values = np.concatenate(near_rows), np.concatenate(values)
+    for p, index in enumerate(idx.indices):
+        weights = uniform_shift_mean(index, values, T)
+        correction = np.bincount(near_rows, weights=weights, minlength=rows)
+        out[:, p] = (out[:, p] - (n - 1) * correction) / n
+    return out
 
 
 def estimate_coefficients(

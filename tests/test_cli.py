@@ -162,11 +162,23 @@ INVALID_INVOCATIONS = {
     "level-T": ("level --R 1 --T 0", "T must be > 0"),
     "level-no-null": ("level --R 1 --datasets Data_80", "must include Data_0"),
     "config-key": ("level --config {bogus}", "unknown config keys ['bogus', 'extra']"),
+    "config-not-object": ("level --config {scalar}", "config must be a JSON object"),
+    "config-alpha-list": ("level --config {alpha_list}", "alpha must be a number"),
+    "config-R-string": ("power --config {R_string}", "R must be an integer"),
     "missing-config": ("power --config {missing}", "No such file"),
     "unwritable-out": (
         "level --R 1 --B 100 --workers 1 --methods ks --out {missing}/level.csv",
         "No such file",
     ),
+}
+
+
+# --config file contents, written per test under their {name}.
+CONFIG_FILES = {
+    "bogus": {"R": 2, "extra": 2, "bogus": 1},
+    "scalar": 5,
+    "alpha_list": {"alpha": [1]},
+    "R_string": {"R": "5"},
 }
 
 
@@ -179,9 +191,10 @@ def test_invalid_settings_exit_2_with_one_error_line(
     tmp_path, capsys, invocation, message
 ):
     pfile, cfile = simulate_files(tmp_path, capsys)
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"R": 2, "extra": 2, "bogus": 1}))
-    paths = {"p": pfile, "c": cfile, "missing": tmp_path / "missing", "bogus": bogus}
+    paths = {"p": pfile, "c": cfile, "missing": tmp_path / "missing"}
+    for name, config in CONFIG_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config))
     argv = [arg.format(**paths) for arg in invocation.split()]
     code = main(argv)
     captured = capsys.readouterr()

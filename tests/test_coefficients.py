@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ppwave as pw
+from ppwave import coefficients
 from ppwave.coefficients import NoParentsError
 
 
@@ -132,28 +136,68 @@ def test_mean_zero_under_null():
     assert np.all(np.abs(draws.mean(axis=0)) <= 3 * se)
 
 
+def near_slot_boundaries(rng, parents, shape, j0):
+    """Draws at u + g 2^-(j0+1) for random parents u, some one ulp to either side."""
+    g = rng.integers(-(2 ** (j0 + 1)), 2 ** (j0 + 1) + 1, shape)
+    x = rng.choice(parents, shape) + np.ldexp(g.astype(np.float64), -(j0 + 1))
+    return np.nextafter(x, x + rng.integers(-1, 2, shape))
+
+
 @given(
     st.lists(st.floats(0.0, 6.0), min_size=1, max_size=12),
-    st.integers(1, 5),
+    st.integers(0, 9),
     st.integers(0, 8),
     st.integers(0, 3),
     st.sampled_from([pw.TWO_SIDED, pw.NONNEG]),
+    st.integers(1, 16),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=60, deadline=None)
-def test_matrix_rows_equal_one_row_calls(par, rows, m, j0, side, seed):
-    # the B-row null kernel and the one-row observed call agree bit for bit
+@settings(max_examples=80, deadline=None)
+def test_matrix_rows_equal_one_row_calls(par, rows, m, j0, side, block, seed):
+    # the B-row null kernel, walked in row blocks of any size, and the one-row
+    # observed call agree bit for bit, on unsorted rows and on draws at or one
+    # ulp beside a dyadic slot boundary
     parents = train(np.sort(par), 0.0, 6.0)
     idx = pw.IndexSet(j0, side)
     rng = np.random.default_rng(seed)
-    samples = np.sort(rng.uniform(-1.5, 7.5, size=(rows, m)), axis=1)
-    batch = pw.coefficient_matrix(parents, samples, idx)
-    assert batch.shape == (rows, idx.size)
+    samples = np.where(
+        rng.random((rows, m)) < 0.5,
+        rng.uniform(-1.5, 7.5, size=(rows, m)),
+        near_slot_boundaries(rng, parents.times, (rows, m), j0),
+    )
+    with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
+        batch = pw.coefficient_matrix(parents, samples, idx)
+        sorted_batch = pw.coefficient_matrix(parents, np.sort(samples, axis=1), idx)
+    assert batch.shape == sorted_batch.shape == (rows, idx.size)
     for b in range(rows):
         one = pw.coefficient_matrix(parents, samples[b][None, :], idx)[0]
         assert np.array_equal(batch[b], one)
-        coef = pw.estimate_coefficients(parents, train(samples[b], -1.5, 7.5), idx)
-        assert np.array_equal(coef.beta_hat, one)
+        # the correction sums in row order, so estimate_coefficients (sorted
+        # times) is the one-row call on the sorted row
+        coef = pw.estimate_coefficients(
+            parents, train(np.sort(samples[b]), -1.5, 7.5), idx
+        )
+        assert np.array_equal(sorted_batch[b], coef.beta_hat)
+
+
+@pytest.mark.parametrize("j0", [3, 6])
+def test_kernel_memory_flat_in_rows(j0):
+    # beyond its (rows, |idx|) output, the kernel's traced memory is bounded
+    # by its row block, not by the number of rows
+    parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 2.0, 7)
+    sp, observed, window = pw.scale_clip(parents, children, 50.0)
+    idx = pw.IndexSet(j0)
+    for B in (2000, 20000):
+        draws = np.random.default_rng(B).uniform(
+            window.lo, window.hi, size=(B, observed.count())
+        )
+        tracemalloc.start()
+        try:
+            out = pw.coefficient_matrix(sp, draws, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 16 * 2**20
 
 
 @given(
