@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Seeded SHA-256 digests of the package's numerical outputs.
+
+Prints one line per output: its name, the number of arrays hashed and the
+SHA-256 over their shapes, dtypes and bytes. Two source trees print the same
+lines exactly when these outputs are byte-identical, so
+
+    diff <(PYTHONPATH=<other tree>/src python scripts/digest.py) \\
+         <(PYTHONPATH=src python scripts/digest.py)
+
+checks that a change meant to keep results keeps them. Inputs: the nine
+datasets at T in {1, 2} and seeds 0-2, scaled x50, families j0 in {0, 3, 5}
+on both sides, plus raw sample matrices with draws on and one ulp beside the
+dyadic slot boundaries. Takes about a minute on two cores.
+"""
+
+import hashlib
+
+import numpy as np
+
+import ppwave as pw
+
+SCALE = 50.0
+SEEDS = (0, 1, 2)
+HORIZONS = (1.0, 2.0)
+FAMILIES = [
+    pw.IndexSet(j0, side) for j0 in (0, 3, 5) for side in (pw.TWO_SIDED, pw.NONNEG)
+]
+SINGLE_INDICES = tuple(pw.WaveletIndex(j, k) for j, k in ((0, 0), (1, -1), (3, 2)))
+
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.count = 0
+
+    def add(self, *arrays):
+        for a in arrays:
+            a = np.ascontiguousarray(a)
+            self.sha.update(f"{a.dtype.str}{a.shape}".encode())
+            self.sha.update(a.tobytes())
+            self.count += 1
+
+
+def datasets():
+    for name in pw.DATASET_NAMES:
+        for T in HORIZONS:
+            for seed in SEEDS:
+                parents, children = pw.make_dataset(pw.DatasetId(name), T, seed)
+                yield name, T, seed, parents, children
+
+
+def boundary_samples(parents, rows, m, j0, rng):
+    """Uniform draws mixed with draws at u + g 2^-(j0+1) or one ulp beside them."""
+    g = rng.integers(-(2 ** (j0 + 1)), 2 ** (j0 + 1) + 1, (rows, m))
+    x = rng.choice(parents, (rows, m)) + np.ldexp(g.astype(np.float64), -j0 - 1)
+    x = np.nextafter(x, x + rng.integers(-1, 2, (rows, m)))
+    uniform = rng.uniform(-1.0, parents[-1] + 1.0, (rows, m))
+    return np.where(rng.random((rows, m)) < 0.5, uniform, x)
+
+
+def main():
+    out = {
+        name: Digest()
+        for name in (
+            "estimate_coefficients",
+            "pair_cascade",
+            "simulate_null_stats",
+            "coefficient_matrix",
+            "run_multiple_test",
+            "run_single_test",
+            "gaue_grid",
+        )
+    }
+    for name, T, seed, parents, children in datasets():
+        grid = pw.gaue_grid(parents, children, T, 0.05)
+        out["gaue_grid"].add(
+            np.array([g.x_t for g in grid]),
+            np.array([(g.m0_hat, g.sigma_hat, g.delta) for g in grid]),
+            np.array([g.reject for g in grid]),
+        )
+        sp, observed, window = pw.scale_clip(parents, children, SCALE)
+        if sp.count() == 0:
+            continue
+        m = observed.count()
+        rng = np.random.default_rng(seed)
+        for idx in FAMILIES:
+            out["estimate_coefficients"].add(
+                pw.estimate_coefficients(sp, observed, idx).beta_hat
+            )
+            out["pair_cascade"].add(pw.pair_cascade(observed, sp, idx).values)
+            for B in (2, 200):
+                nulls = pw.simulate_null_stats(sp, m, idx, B, window, seed)
+                out["simulate_null_stats"].add(nulls.stats)
+            for cols in (0, 7, 40):
+                samples = boundary_samples(sp.times, 7, cols, idx.j0, rng)
+                beta = pw.coefficient_matrix(sp, samples, idx)
+                out["coefficient_matrix"].add(beta)
+        if seed == 0 and T == 2.0:
+            for j0 in (3, 6):
+                idx = pw.IndexSet(j0)
+                nulls = pw.simulate_null_stats(sp, m, idx, 20000, window, 1)
+                out["simulate_null_stats"].add(nulls.stats)
+        cfg = pw.TestConfig(B=2000)
+        o = pw.run_multiple_test(parents, children, cfg, seed=seed)
+        out["run_multiple_test"].add(
+            np.array([o.reject, o.no_information]),
+            np.array([o.u_alpha]),
+            o.beta_hat,
+            o.t_stat,
+            o.thresholds,
+            o.single_reject,
+            np.array([o.n_parents, o.m_children]),
+        )
+        decisions = [
+            pw.run_single_test(ix, parents, children, cfg, seed=seed)
+            for ix in SINGLE_INDICES
+        ]
+        out["run_single_test"].add(np.array(decisions))
+    # Short horizons, below and around the finest support width 2^-5: x and
+    # x - T then meet the same support.
+    rng = np.random.default_rng(0)
+    for T in (2.0**-7, 0.01, 0.125, 0.75):
+        parents = pw.EventTrain(np.sort(rng.uniform(0.0, T, 5)), pw.Window(0.0, T))
+        for idx in FAMILIES:
+            samples = boundary_samples(parents.times, 50, 30, idx.j0, rng)
+            beta = pw.coefficient_matrix(parents, samples, idx)
+            out["coefficient_matrix"].add(beta)
+    for name, d in out.items():
+        print(f"{name} {d.count} {d.sha.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

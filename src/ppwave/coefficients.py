@@ -9,8 +9,11 @@ matrix of child samples against one parent set. For each index,
 where S is the raw pair sum over child-parent differences (closed form, no
 extra Monte-Carlo noise). The observed train is the one-row case
 (estimate_coefficients, pair_cascade) and the conditional null is the B-row
-case, walked in fixed-size row blocks. The wavelet family and its closed
-forms come from haar.py.
+case. Both walk the rows in fixed-size blocks, in any order within a row:
+per block, the pairs come from process.pair_differences (a table lookup
+over the fixed parents), their integer dyadic-slot counts give S through
+each wavelet's signs, and the correction takes one bincount per resolution
+level. The wavelet family and its closed forms come from haar.py.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .haar import (
     WaveletIndex,
     haar_amplitude,
     haar_sign,
-    uniform_shift_mean,
+    haar_tent,
 )
 from .process import EventTrain, pair_differences, parent_horizon
 
@@ -83,27 +86,30 @@ def _pair_slot_counts(
 ) -> np.ndarray:
     """Histogram of pair differences sample - parent over the dyadic slots.
 
-    samples is (rows, m); only pairs with |difference| <= 1 contribute.
-    Returns a (rows, n_slots) integer matrix.
+    samples is (rows, m), in any order within a row; only pairs with
+    |difference| <= 1 contribute. Returns a (rows, n_slots) integer matrix.
     """
-    n_rows = samples.shape[0]
-    half = 2 ** (j0 + 1)
+    n_rows, m = samples.shape
     n_slots = 2 ** (j0 + 3) + 1
-    diffs, cnt = pair_differences(parent_times, samples.ravel(), 1.0)
-    # Pairs sit in row order, so each row's candidates are one contiguous run.
-    row_pairs = cnt.reshape(samples.shape).sum(axis=1)
-    pair_rows = np.repeat(np.arange(n_rows, dtype=np.int64), row_pairs)
-    inside = np.abs(diffs) <= 1.0
-    diffs = diffs[inside]
-    pair_rows = pair_rows[inside]
-
-    scaled = np.ldexp(diffs, j0 + 1)  # exact: power-of-two multiply
-    floors = np.floor(scaled)
-    slot = 2 * (floors.astype(np.int64) + half) + 1
-    slot[scaled == floors] -= 1  # exact grid hits take the even slot
-    keys = pair_rows * n_slots + slot
-    flat = np.bincount(keys, minlength=n_rows * n_slots)
-    return flat.reshape(n_rows, n_slots)
+    diffs, owner = pair_differences(parent_times, samples.ravel(), 1.0)
+    # With s = d 2^(j0+1) (exact), floor(s) + ceil(s) is 2s on a grid point
+    # and 2 floor(s) + 1 between two, so it numbers the slots of |d| <= 1 from
+    # -2^(j0+2) to 2^(j0+2). Farther pairs are clipped into one trash column
+    # at either end of their row, dropped after the bincount. Slots and keys
+    # overwrite diffs and owner, so at most three pair-length arrays are live.
+    edge = 2 ** (j0 + 2) + 1
+    s = np.ldexp(diffs, j0 + 1, out=diffs)
+    floor = np.floor(s)
+    slot = np.ceil(s, out=s)
+    slot += floor
+    np.clip(slot, -edge, edge, out=slot)
+    keys = owner
+    keys //= m
+    keys *= n_slots + 2
+    keys += edge
+    np.add(keys, slot, out=keys, casting="unsafe")
+    counts = np.bincount(keys, minlength=n_rows * (n_slots + 2))
+    return counts.reshape(n_rows, n_slots + 2)[:, 1:-1]
 
 
 # Entries per row block of a (rows, m) sample matrix: a block holds about this
@@ -111,27 +117,64 @@ def _pair_slot_counts(
 _BLOCK_SIZE = 2**15
 
 
-def _pair_sums(
-    parent_times: np.ndarray, samples: np.ndarray, idx: IndexSet
-) -> np.ndarray:
-    """(rows, idx.size) raw pair sums: integer net slot counts times 2^(j/2).
+def _pair_sums(parent_times: np.ndarray, samples: np.ndarray, idx: IndexSet):
+    """Raw pair sums by row block: yields (rows, sums).
 
-    Each row block is sorted along its rows, which keeps the pair search
-    cache-friendly; integer counts do not depend on order. The matmul
-    accumulates integers only (signs are -1/0/+1), so the result is exact up
-    to the single final scaling, matching naive summation.
+    rows is the block's slice of the sample rows and sums its (block rows,
+    idx.size) matrix of pair sums. A sum is an integer net slot count times
+    2^(j/2): the matmul accumulates integers only (signs are -1/0/+1), so the
+    result is exact up to the single final scaling, matching naive summation.
     """
     pos = _slot_positions(idx.j0)
     signs = np.stack([haar_sign(ix, pos) for ix in idx.indices]).T
     amplitude = haar_amplitude(idx.js)
-    rows, m = samples.shape
+    n_rows, m = samples.shape
     step = max(1, _BLOCK_SIZE // max(m, pos.size))
-    sums = np.empty((rows, idx.size))
-    for start in range(0, rows, step):
-        block = np.sort(samples[start : start + step], axis=1)
-        counts = _pair_slot_counts(parent_times, block, idx.j0)
-        sums[start : start + step] = (counts.astype(np.float64) @ signs) * amplitude
-    return sums
+    for start in range(0, n_rows, step):
+        rows = slice(start, start + step)
+        counts = _pair_slot_counts(parent_times, samples[rows], idx.j0)
+        yield rows, (counts.astype(np.float64) @ signs) * amplitude
+
+
+def _shift_mean_sums(block: np.ndarray, T: float, idx: IndexSet) -> np.ndarray:
+    """(rows, idx.size) sums over each row of uniform_shift_mean(index, x, T).
+
+    At level j a value x meets at most the support k = floor(2^j x) through
+    x and k = floor(2^j (x - T)) through x - T, so one bincount per level
+    covers all its indices. The two terms of a value are interleaved, so
+    each (row, k) bin adds its nonzero terms in the row-major order of the
+    per-index sums; a value whose two terms share k adds their difference as
+    one term, as uniform_shift_mean does. Zero terms are +0.0 and do not
+    change a sum.
+    """
+    n_rows, m = block.shape
+    near = np.flatnonzero((np.abs(block) <= 1.0) | (np.abs(block - T) <= 1.0))
+    t = np.empty((near.size, 2))
+    t[:, 0] = block.ravel()[near]
+    np.subtract(t[:, 0], T, out=t[:, 1])
+    # A row's bins: one per k of the finest level, with a trash bin at either
+    # end for the k outside the family.
+    width = 2 ** (idx.j0 + 1) + 2
+    base = (near // m * width)[:, None]
+    keys = np.empty(t.shape, dtype=np.intp)
+    out = np.empty((n_rows, idx.size))
+    col = 0
+    for j in range(idx.j0 + 1):
+        ks = idx.k_range(j)
+        k = np.floor(np.ldexp(t, j))
+        terms = haar_tent(j, k, t)
+        np.subtract(0.0, terms[:, 1], out=terms[:, 1])
+        same = k[:, 0] == k[:, 1]
+        if same.any():
+            terms[same, 0] += terms[same, 1]
+            terms[same, 1] = 0.0
+        terms /= T
+        np.clip(k, ks.start - 1, ks.stop, out=k)
+        np.add(k, base - (ks.start - 1), out=keys, casting="unsafe")
+        sums = np.bincount(keys.ravel(), terms.ravel(), minlength=n_rows * width)
+        out[:, col : col + len(ks)] = sums.reshape(n_rows, width)[:, 1 : len(ks) + 1]
+        col += len(ks)
+    return out
 
 
 def coefficient_matrix(
@@ -155,23 +198,10 @@ def coefficient_matrix(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError("samples must be a (rows, m) matrix")
-    out = _pair_sums(parents.times, samples, idx)
-
-    # The shift mean vanishes unless x or x - T falls in [-1; 1]. Near values
-    # are gathered in row-major order, the order the float sums accumulate in.
-    rows, m = samples.shape
-    step = max(1, _BLOCK_SIZE // max(m, 1))
-    near_rows, values = [np.empty(0, np.intp)], [np.empty(0)]
-    for start in range(0, rows, step):
-        block = samples[start : start + step]
-        near = (np.abs(block) <= 1.0) | (np.abs(block - T) <= 1.0)
-        near_rows.append(np.nonzero(near)[0] + start)
-        values.append(block[near])
-    near_rows, values = np.concatenate(near_rows), np.concatenate(values)
-    for p, index in enumerate(idx.indices):
-        weights = uniform_shift_mean(index, values, T)
-        correction = np.bincount(near_rows, weights=weights, minlength=rows)
-        out[:, p] = (out[:, p] - (n - 1) * correction) / n
+    out = np.empty((samples.shape[0], idx.size))
+    for rows, sums in _pair_sums(parents.times, samples, idx):
+        correction = _shift_mean_sums(samples[rows], T, idx)
+        out[rows] = (sums - (n - 1) * correction) / n
     return out
 
 
@@ -204,9 +234,10 @@ def pair_cascade(
 ) -> PairSumField:
     """All raw sums S_lambda = sum_x sum_u phi_lambda(x - u) for an IndexSet.
 
-    Pairs are located by a sorted sweep restricted to |x - u| <= 1, binned
-    once into dyadic slots, and reduced bottom-up; cost is O(pairs in range +
-    2^j0) instead of the naive O(n * m * |indices|).
+    Pairs with |x - u| <= 1 are located through the parents' cell table and
+    binned once into dyadic slots, which each wavelet's signs then reduce;
+    cost is O(pairs in range + slots * |indices|) instead of the naive
+    O(n * m * |indices|).
     """
-    sums = _pair_sums(parents.times, children.times[None, :], idx)
+    ((_, sums),) = _pair_sums(parents.times, children.times[None, :], idx)  # one block
     return PairSumField(idx, sums[0])

@@ -30,6 +30,7 @@ __all__ = [
     "haar_sign",
     "haar_eval",
     "haar_antiderivative",
+    "haar_tent",
     "uniform_shift_mean",
 ]
 
@@ -140,10 +141,18 @@ def haar_antiderivative(index: WaveletIndex, t):
     A downward tent on the support: 0 at k2^-j, minimum -2^(-j/2-1) at the
     midpoint, back to 0 at (k+1)2^-j, and 0 outside.
     """
-    y = np.ldexp(np.asarray(t, dtype=np.float64), index.j) - index.k
-    tent = np.minimum(y, 1.0 - y)
-    val = -(2.0 ** (-0.5 * index.j)) * np.where(tent > 0.0, tent, 0.0) + 0.0
+    val = haar_tent(index.j, index.k, t)
     return float(val) if np.isscalar(t) else val
+
+
+def haar_tent(j: int, k, t) -> np.ndarray:
+    """haar_antiderivative of phi_(j,k) at t, broadcasting over k and t.
+
+    Outside the support the value is +0.0, never -0.0.
+    """
+    y = np.ldexp(np.asarray(t, dtype=np.float64), j) - k
+    tent = np.minimum(y, 1.0 - y)
+    return -(2.0 ** (-0.5 * j)) * np.where(tent > 0.0, tent, 0.0) + 0.0
 
 
 def uniform_shift_mean(index: WaveletIndex, v, T: float):

@@ -164,9 +164,9 @@ def scale_clip(
     return sp, EventTrain(times_in(sc, window), window), window
 
 
-# Slack added to the reach when pre-selecting pairs by searchsorted. Candidates
-# are then filtered on the exact computed difference, so the value only needs
-# to dominate rounding of x - u (~1e-13 at the magnitudes handled here).
+# Slack added to the reach when pre-selecting pairs. Candidates are then
+# filtered on the exact computed difference, so the value only needs to
+# dominate rounding of x - u (~1e-13 at the magnitudes handled here).
 _PAIR_MARGIN = 1e-9
 
 
@@ -175,21 +175,43 @@ def pair_differences(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Differences value - anchor of the candidate pairs within reach.
 
-    anchors must be sorted ascending. Returns (diffs, cnt): values[i] has
-    cnt[i] candidates, whose differences sit contiguously in diffs, in the
-    order of values. The candidates include every pair with |difference| <=
-    reach and may include pairs just beyond it, so callers filter diffs on
-    their exact condition. Per-value data expands with np.repeat(data, cnt).
+    anchors must be sorted ascending; values may come in any order. Returns
+    (diffs, owner): pair p is values[owner[p]] - anchor, owner is
+    nondecreasing, and each value's candidates take its anchors in ascending
+    order. The candidates include every pair with |difference| <= reach and
+    may include pairs beyond it, so callers filter diffs on their exact
+    condition. Per-value data of the pairs is data[owner].
     """
-    lo = np.searchsorted(anchors, values - (reach + _PAIR_MARGIN), side="left")
-    hi = np.searchsorted(anchors, values + (reach + _PAIR_MARGIN), side="right")
-    cnt = hi - lo
-    # Pair p of value i takes anchor lo[i] + (p - first[i]), first[i] being
-    # the position of value i's first pair.
-    first = np.cumsum(cnt) - cnt
-    anchor = np.repeat(lo - first, cnt) + np.arange(int(cnt.sum()), dtype=np.int64)
-    diffs = np.repeat(values, cnt) - anchors[anchor]
-    return diffs, cnt
+    if anchors.size == 0 or values.size == 0:
+        return np.empty(0), np.empty(0, dtype=np.intp)
+    # A table over cells [c w; (c+1) w) of power-of-two width w about reach/16
+    # (wider if the anchors' span needs more than O(anchors) cells) holds the
+    # anchors within reach + margin of each cell: values of cell c pair with
+    # anchors first[c] .. first[c] + count[c] - 1. Values beyond every
+    # anchor's reach, infinities and NaN (through fmax) are clipped into the
+    # empty sentinel cells at either end.
+    far = reach + _PAIR_MARGIN
+    span = anchors[-1] - anchors[0] + 2.0 * far
+    cells = 16 * anchors.size + 1024
+    exp = max(math.frexp(reach)[1] - 5, math.frexp(span / cells)[1])
+    c_lo = math.floor(math.ldexp(anchors[0] - far, -exp)) - 1
+    c_hi = math.floor(math.ldexp(anchors[-1] + far, -exp)) + 1
+    edges = np.ldexp(np.arange(c_lo, c_hi + 2, dtype=np.float64), exp)
+    first = np.searchsorted(anchors, edges[:-1] - far, side="left")
+    count = np.searchsorted(anchors, edges[1:] + far, side="right") - first
+    count[[0, -1]] = 0
+    cell = np.fmin(np.fmax(np.floor(np.ldexp(values, -exp)), c_lo), c_hi)
+    cell = cell.astype(np.intp) - c_lo
+    cnt = count[cell]
+    owner = np.repeat(np.arange(values.size), cnt)
+    # Pair p of value i takes anchor first[cell[i]] + (p - start[i]), start[i]
+    # being the position of value i's first pair.
+    shift = first[cell] - (np.cumsum(cnt) - cnt)
+    anchor = shift[owner]
+    anchor += np.arange(owner.size)
+    diffs = values[owner]
+    diffs -= anchors[anchor]
+    return diffs, owner
 
 
 def write_events(train: EventTrain, path) -> None:

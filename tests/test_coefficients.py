@@ -180,6 +180,51 @@ def test_matrix_rows_equal_one_row_calls(par, rows, m, j0, side, block, seed):
         assert np.array_equal(sorted_batch[b], coef.beta_hat)
 
 
+@given(
+    st.sampled_from([2.0**-9, 0.003, 2.0**-5, 0.1, 0.75, 3.0]),
+    st.integers(0, 6),
+    st.integers(0, 8),
+    st.integers(0, 4),
+    st.sampled_from([pw.TWO_SIDED, pw.NONNEG]),
+    st.integers(1, 16),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_per_level_correction_matches_per_index_sums(T, rows, m, j0, side, block, seed):
+    # the kernel's shift-mean correction equals, bit for bit, one
+    # uniform_shift_mean + bincount column per index over the row-major
+    # values; short horizons (T < 2^-j0) make x and x - T meet one support,
+    # and draws on dyadic points or at a dyadic point + T hit the tent zeros
+    rng = np.random.default_rng(seed)
+    parents = train(np.sort(rng.uniform(0.0, T, rng.integers(1, 6))), 0.0, T)
+    idx = pw.IndexSet(j0, side)
+    g = rng.integers(-(2 ** (j0 + 1)), 2 ** (j0 + 1) + 1, (rows, m))
+    g = np.ldexp(g.astype(np.float64), -(j0 + 1))
+    dyadic = np.where(rng.random((rows, m)) < 0.5, g, g + T)
+    dyadic = np.nextafter(dyadic, dyadic + rng.integers(-1, 2, (rows, m)))
+    samples = np.where(
+        rng.random((rows, m)) < 0.5, rng.uniform(-1.5, T + 1.5, (rows, m)), dyadic
+    )
+    n = parents.count()
+    row_of = np.repeat(np.arange(rows), m)
+    correction = np.stack(
+        [
+            np.bincount(row_of, pw.uniform_shift_mean(ix, samples.ravel(), T), rows)
+            for ix in idx.indices
+        ],
+        axis=1,
+    )
+    raw = np.array(
+        [
+            pw.pair_cascade(train(np.sort(r), -2.0, T + 2.0), parents, idx).values
+            for r in samples
+        ]
+    ).reshape(rows, idx.size)
+    with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
+        beta = pw.coefficient_matrix(parents, samples, idx)
+    assert np.array_equal(beta, (raw - (n - 1) * correction) / n)
+
+
 @pytest.mark.parametrize("j0", [3, 6])
 def test_kernel_memory_flat_in_rows(j0):
     # beyond its (rows, |idx|) output, the kernel's traced memory is bounded

@@ -134,3 +134,61 @@ def test_interaction_model_validation():
         pw.InteractionModel(mu_p=50, mu_c=20, theta=-1, nu=0, T=2.0)
     with pytest.raises(ValueError):
         pw.InteractionModel(mu_p=50, mu_c=20, theta=0, nu=0, T=0.0)
+
+
+@st.composite
+def pair_problems(draw):
+    """Anchors (with ties) and values placed uniformly, on the dyadic grid of
+    step 2^-9, or at an anchor +- reach, each optionally one ulp aside; some
+    values lie beyond every anchor's reach on either side."""
+    reach = draw(st.sampled_from([1.0, 0.04]))
+    anchors = st.floats(0.0, 5.0) | st.sampled_from([1.0, 2.5])
+    anchors = np.sort(np.asarray(draw(st.lists(anchors, max_size=12)), dtype=float))
+    values = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["uniform", "grid", "reach"]))
+        if kind == "uniform":
+            v = draw(st.floats(-3.0, 8.0))
+        elif kind == "grid" or anchors.size == 0:
+            v = draw(st.integers(-3 * 2**9, 8 * 2**9)) * 2.0**-9
+        else:
+            v = anchors[draw(st.integers(0, anchors.size - 1))]
+            v += draw(st.sampled_from([-reach, reach]))
+        values.append(np.nextafter(v, v + draw(st.integers(-1, 1))))
+    return anchors, np.asarray(values, dtype=float), reach
+
+
+@given(pair_problems())
+@settings(max_examples=300, deadline=None)
+def test_pair_differences_cover_every_pair_within_reach(problem):
+    anchors, values, reach = problem
+    diffs, owner = pw.pair_differences(anchors, values, reach)
+    assert diffs.shape == owner.shape
+    assert np.all(np.diff(owner) >= 0)
+    assert np.all((owner >= 0) & (owner < values.size))
+    for i, v in enumerate(values):
+        mine = diffs[owner == i]
+        every = v - anchors  # the difference with each anchor, in anchor order
+        true = np.flatnonzero(np.abs(every) <= reach)
+        if mine.size == 0:
+            assert true.size == 0
+            continue
+        # the candidates are v minus a run of consecutive anchors that holds
+        # every pair within reach
+        runs = [
+            s
+            for s in range(anchors.size - mine.size + 1)
+            if np.array_equal(every[s : s + mine.size], mine)
+        ]
+        assert runs
+        if true.size:
+            assert any(s <= true[0] and true[-1] < s + mine.size for s in runs)
+
+
+def test_pair_differences_empty_inputs():
+    # no pairs without anchors or values, nor for non-finite values
+    nonfinite = [np.nan, np.inf, -np.inf]
+    for anchors, values in (([], [0.5]), ([0.5], []), ([], []), ([0.5], nonfinite)):
+        anchors, values = np.asarray(anchors, float), np.asarray(values, float)
+        diffs, owner = pw.pair_differences(anchors, values, 1.0)
+        assert diffs.size == owner.size == 0
