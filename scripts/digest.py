@@ -11,7 +11,10 @@ lines exactly when these outputs are byte-identical, so
 checks that a change meant to keep results keeps them. Inputs: the nine
 datasets at T in {1, 2} and seeds 0-2, scaled x50, families j0 in {0, 3, 5}
 on both sides, plus raw sample matrices with draws on and one ulp beside the
-dyadic slot boundaries. Takes about a minute on two cores.
+dyadic slot boundaries. The calibrate_u_alpha and thresholds lines cover the
+nine datasets (T=2, seed 0, j0=3) at B in {2000, 20000} and alpha in
+{0.01, 0.05, 0.3}, so that calibration changes show apart from the kernel's.
+Takes about a minute on two cores.
 """
 
 import hashlib
@@ -27,6 +30,7 @@ FAMILIES = [
     pw.IndexSet(j0, side) for j0 in (0, 3, 5) for side in (pw.TWO_SIDED, pw.NONNEG)
 ]
 SINGLE_INDICES = tuple(pw.WaveletIndex(j, k) for j, k in ((0, 0), (1, -1), (3, 2)))
+CALIBRATION_ALPHAS = (0.01, 0.05, 0.3)
 
 
 class Digest:
@@ -59,6 +63,20 @@ def boundary_samples(parents, rows, m, j0, rng):
     return np.where(rng.random((rows, m)) < 0.5, uniform, x)
 
 
+def calibrations(parents, m, window):
+    """(u_alpha, thresholds) of the j0=3 family per B and alpha, null seed 1."""
+    idx = pw.IndexSet(3)
+    w = pw.aggregation_weights(idx)
+    for B in (2000, 20000):
+        nulls = pw.simulate_null_stats(parents, m, idx, B, window, 1)
+        cols = nulls.sorted_quantile_half.T
+        for alpha in CALIBRATION_ALPHAS:
+            u = pw.calibrate_u_alpha(nulls, w, alpha)
+            probs = u * np.exp(-w)
+            thresholds = [pw.empirical_quantile(c, p) for c, p in zip(cols, probs)]
+            yield u, np.array(thresholds)
+
+
 def main():
     out = {
         name: Digest()
@@ -70,6 +88,8 @@ def main():
             "run_multiple_test",
             "run_single_test",
             "gaue_grid",
+            "calibrate_u_alpha",
+            "thresholds",
         )
     }
     for name, T, seed, parents, children in datasets():
@@ -88,7 +108,7 @@ def main():
             out["estimate_coefficients"].add(
                 pw.estimate_coefficients(sp, observed, idx).beta_hat
             )
-            out["pair_cascade"].add(pw.pair_cascade(observed, sp, idx).values)
+            out["pair_cascade"].add(pw.pair_cascade(observed, sp, idx))
             for B in (2, 200):
                 nulls = pw.simulate_null_stats(sp, m, idx, B, window, seed)
                 out["simulate_null_stats"].add(nulls.stats)
@@ -101,6 +121,9 @@ def main():
                 idx = pw.IndexSet(j0)
                 nulls = pw.simulate_null_stats(sp, m, idx, 20000, window, 1)
                 out["simulate_null_stats"].add(nulls.stats)
+            for u, thresholds in calibrations(sp, m, window):
+                out["calibrate_u_alpha"].add(np.array([u]))
+                out["thresholds"].add(thresholds)
         cfg = pw.TestConfig(B=2000)
         o = pw.run_multiple_test(parents, children, cfg, seed=seed)
         out["run_multiple_test"].add(

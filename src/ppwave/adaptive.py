@@ -3,9 +3,9 @@
 The null reference is built conditionally on the observed parents and the
 observed child count m: B independent m-samples of uniforms on the analysis
 window produce null statistics per index. One half of the rows estimates the
-conditional quantiles, the other half drives the dichotomy that calibrates
-the aggregation level u_alpha. The data are rescaled (default x50) before
-testing so the kernel support sits strictly inside (-1; 1).
+conditional quantiles; the levels of u from which the other half's rows
+reject fix the aggregation level u_alpha. The data are rescaled (default
+x50) before testing so the kernel support sits strictly inside (-1; 1).
 """
 
 from __future__ import annotations
@@ -99,16 +99,12 @@ class NullStatMatrix:
             raise ValueError("null statistics are absolute values, >= 0")
 
     @property
-    def n_rows(self) -> int:
-        return self.stats.shape[0]
-
-    @property
     def quantile_half(self) -> np.ndarray:
-        return self.stats[: self.n_rows // 2]
+        return self.stats[: len(self.stats) // 2]
 
     @property
     def calibration_half(self) -> np.ndarray:
-        return self.stats[self.n_rows // 2 :]
+        return self.stats[len(self.stats) // 2 :]
 
     @cached_property
     def sorted_quantile_half(self) -> np.ndarray:
@@ -168,42 +164,46 @@ def _thresholds(sorted_cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
-    """Dichotomy for the aggregation level.
+    """Largest u in [alpha; 1] with any-index rejection rate <= alpha, else alpha.
 
-    The quantile half fixes the threshold curves; the calibration half
-    estimates the probability that any index exceeds its threshold at level
-    u * exp(-w). Bisection on [alpha; 1] for 25 steps returns the largest
-    tested u keeping that probability <= alpha; if even u = alpha fails by
-    Monte-Carlo noise, alpha itself is returned (the calibrated level never
-    drops below alpha).
+    A calibration value with c quantile-half values below it exceeds its
+    threshold _thresholds(quantile half, u * exp(-w)) iff floor(u e^-w n) >=
+    n - c, so each calibration row rejects from a critical level on. The
+    result, the exact supremum that the paper's dichotomy approximates, is
+    the largest float below the level of the first row the rate cannot admit.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0; 1)")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (nulls.index_set.size,):
-        raise ValueError(
-            f"weights must have shape ({nulls.index_set.size},), got {w.shape}"
-        )
-    sorted_q = nulls.sorted_quantile_half
-    calib = nulls.calibration_half
+    size = nulls.index_set.size
+    if w.shape != (size,):
+        raise ValueError(f"weights must have shape ({size},), got {w.shape}")
+    sorted_q, calib = nulls.sorted_quantile_half, nulls.calibration_half
+    n = calib.shape[0]  # both halves hold B/2 rows
     damping = np.exp(-w)
 
-    def any_reject_prob(u: float) -> float:
+    def rejecting_rows(u) -> int:
         th = _thresholds(sorted_q, u * damping)
-        return float(np.mean(np.any(calib > th, axis=1)))
+        return np.count_nonzero(np.any(calib > th, axis=1))
 
-    if any_reject_prob(alpha) > alpha:
+    k = np.count_nonzero(np.arange(1, n + 1) / n <= alpha)  # rows rate <= alpha admits
+    if rejecting_rows(alpha) > k:
         return alpha
-    if any_reject_prob(1.0) <= alpha:
+    # Only values above their u = 1 threshold have a critical level <= 1.
+    hits = calib > _thresholds(sorted_q, damping)
+    if np.count_nonzero(hits.any(axis=1)) <= k:
         return 1.0
-    lo, hi = alpha, 1.0
-    for _ in range(25):
-        mid = 0.5 * (lo + hi)
-        if any_reject_prob(mid) <= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    levels = np.full(n, np.inf)
+    for col in range(calib.shape[1]):
+        rows = np.flatnonzero(hits[:, col])
+        c = np.searchsorted(sorted_q[:, col], calib[rows, col])
+        levels[rows] = np.minimum(levels[rows], (n - c) / (damping[col] * n))
+    u = max(alpha, np.nextafter(np.partition(levels, k)[k], 0.0))
+    while rejecting_rows(u) > k:
+        u = np.nextafter(u, 0.0)
+    while rejecting_rows(np.nextafter(u, 1.0)) <= k:
+        u = np.nextafter(u, 1.0)
+    return float(u)
 
 
 @dataclass(frozen=True)

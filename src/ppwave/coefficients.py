@@ -34,7 +34,6 @@ from .process import EventTrain, pair_differences, parent_horizon
 __all__ = [
     "NoParentsError",
     "CoefficientField",
-    "PairSumField",
     "coefficient_matrix",
     "estimate_coefficients",
     "pair_cascade",
@@ -55,17 +54,6 @@ class CoefficientField:
 
     def value(self, index: WaveletIndex) -> float:
         return float(self.beta_hat[self.index_set.position(index)])
-
-
-@dataclass(frozen=True)
-class PairSumField:
-    """Raw double sums S_lambda = sum_x sum_u phi_lambda(x - u) over an IndexSet."""
-
-    index_set: IndexSet
-    values: np.ndarray
-
-    def value(self, index: WaveletIndex) -> float:
-        return float(self.values[self.index_set.position(index)])
 
 
 def _slot_positions(j0: int) -> np.ndarray:
@@ -190,6 +178,8 @@ def coefficient_matrix(
     ------
     NoParentsError
         If the parent train is empty.
+    ValueError
+        If samples is not a matrix or holds NaN or an infinity.
     """
     n = parents.count()
     if n == 0:
@@ -198,6 +188,8 @@ def coefficient_matrix(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError("samples must be a (rows, m) matrix")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
     out = np.empty((samples.shape[0], idx.size))
     for rows, sums in _pair_sums(parents.times, samples, idx):
         correction = _shift_mean_sums(samples[rows], T, idx)
@@ -231,8 +223,8 @@ def estimate_coefficients(
 
 def pair_cascade(
     children: EventTrain, parents: EventTrain, idx: IndexSet
-) -> PairSumField:
-    """All raw sums S_lambda = sum_x sum_u phi_lambda(x - u) for an IndexSet.
+) -> np.ndarray:
+    """All raw sums S_lambda = sum_x sum_u phi_lambda(x - u), in idx order.
 
     Pairs with |x - u| <= 1 are located through the parents' cell table and
     binned once into dyadic slots, which each wavelet's signs then reduce;
@@ -240,4 +232,4 @@ def pair_cascade(
     O(n * m * |indices|).
     """
     ((_, sums),) = _pair_sums(parents.times, children.times[None, :], idx)  # one block
-    return PairSumField(idx, sums[0])
+    return sums[0]

@@ -16,7 +16,6 @@ __all__ = [
     "EventTrain",
     "InteractionModel",
     "times_in",
-    "count_in",
     "scale_train",
     "parent_horizon",
     "conditioning_window",
@@ -43,13 +42,6 @@ class Window:
     @property
     def length(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, t: float) -> bool:
-        # Both endpoints count as inside.
-        return self.lo <= t <= self.hi
-
-    def scaled(self, factor: float) -> "Window":
-        return Window(self.lo * factor, self.hi * factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +113,12 @@ def times_in(train: EventTrain, w: Window) -> np.ndarray:
     return train.times[lo:hi]
 
 
-def count_in(train: EventTrain, w: Window) -> int:
-    """Number of events t with w.lo <= t <= w.hi (both endpoints inside)."""
-    return int(times_in(train, w).size)
-
-
 def scale_train(train: EventTrain, factor: float) -> EventTrain:
     """Multiply all times and both window endpoints by a positive factor."""
     if factor <= 0:
         raise ValueError("scale factor must be > 0")
-    return EventTrain(train.times * factor, train.window.scaled(factor))
+    w = train.window
+    return EventTrain(train.times * factor, Window(w.lo * factor, w.hi * factor))
 
 
 def parent_horizon(parents: EventTrain) -> float:

@@ -196,7 +196,7 @@ def test_criterion_6_oracle_equivalence():
         chi = np.sort(chi)
         parents = pw.EventTrain(par, pw.Window(0.0, 4.0))
         children = pw.EventTrain(chi, pw.Window(-2.0, 6.0))
-        fast = pw.pair_cascade(children, parents, idx).values
+        fast = pw.pair_cascade(children, parents, idx)
         diffs = np.subtract.outer(chi, par)
         naive = np.array(
             [math.fsum(pw.haar_eval(ix, diffs).ravel().tolist()) for ix in idx.indices]

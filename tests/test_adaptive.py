@@ -224,6 +224,54 @@ def test_calibration_weights_match_columns():
             pw.calibrate_u_alpha(nulls, bad, 0.05)
 
 
+def _rate(nulls, w, u):
+    """Fraction of calibration rows with some index above its threshold at u."""
+    th = _thresholds(nulls.sorted_quantile_half, u * np.exp(-w))
+    return float(np.mean(np.any(nulls.calibration_half > th, axis=1)))
+
+
+def _bisection_u_alpha(nulls, w, alpha):
+    """The former 25-step dichotomy on [alpha; 1], kept as the reference."""
+    if _rate(nulls, w, alpha) > alpha:
+        return alpha
+    if _rate(nulls, w, 1.0) <= alpha:
+        return 1.0
+    lo, hi = alpha, 1.0
+    for _ in range(25):
+        mid = 0.5 * (lo + hi)
+        if _rate(nulls, w, mid) <= alpha:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2000),
+    st.sampled_from([0.01, 0.05, 0.3]),
+    st.sampled_from([pw.IndexSet(0, pw.NONNEG), pw.IndexSet(2), pw.IndexSet(3)]),
+    st.sampled_from([None, 1, 0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_calibration_is_the_exact_supremum(seed, half, alpha, idx, decimals):
+    # B = 2 * half rows; rounding the statistics to a few decimals makes ties
+    rng = np.random.default_rng(seed)
+    stats = np.abs(rng.normal(size=(2 * half, idx.size)))
+    if decimals is not None:
+        stats = np.round(stats, decimals)
+    nulls = pw.NullStatMatrix(stats, idx)
+    w = pw.aggregation_weights(idx)
+    u = pw.calibrate_u_alpha(nulls, w, alpha)
+    assert alpha <= u <= 1.0
+    if u > alpha:
+        assert _rate(nulls, w, u) <= alpha
+    if u < 1.0:
+        assert _rate(nulls, w, np.nextafter(u, 1.0)) > alpha
+    u_ref = _bisection_u_alpha(nulls, w, alpha)
+    assert u_ref <= u <= u_ref + 2.0**-25
+
+
 def test_thresholds_monotone_in_u():
     rng = np.random.default_rng(38)
     idx = pw.IndexSet(2)

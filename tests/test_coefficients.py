@@ -216,7 +216,7 @@ def test_per_level_correction_matches_per_index_sums(T, rows, m, j0, side, block
     )
     raw = np.array(
         [
-            pw.pair_cascade(train(np.sort(r), -2.0, T + 2.0), parents, idx).values
+            pw.pair_cascade(train(np.sort(r), -2.0, T + 2.0), parents, idx)
             for r in samples
         ]
     ).reshape(rows, idx.size)
@@ -275,3 +275,14 @@ def test_matrix_requires_two_dimensional_samples():
         pw.coefficient_matrix(
             train([0.5], 0.0, 1.0), np.array([0.2, 0.4]), pw.IndexSet(1)
         )
+
+
+def test_matrix_rejects_non_finite_samples():
+    parents = train([0.5], 0.0, 1.0)
+    idx = pw.IndexSet(1)
+    # a NaN row, a +inf row and a -inf row, one at a time and all together
+    bad_rows = [[0.7, np.nan], [np.inf, 0.2], [0.3, -np.inf]]
+    for bad in [[row] for row in bad_rows] + [bad_rows]:
+        samples = np.array([[0.2, 0.7]] + bad)
+        with pytest.raises(ValueError, match="finite"):
+            pw.coefficient_matrix(parents, samples, idx)
