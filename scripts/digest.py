@@ -14,6 +14,9 @@ on both sides, plus raw sample matrices with draws on and one ulp beside the
 dyadic slot boundaries. The calibrate_u_alpha and thresholds lines cover the
 nine datasets (T=2, seed 0, j0=3) at B in {2000, 20000} and alpha in
 {0.01, 0.05, 0.3}, so that calibration changes show apart from the kernel's.
+The decisions line hashes only reject, single_reject and u_alpha of the
+run_multiple_test outcomes, so a change that moves floats but no decision
+shows apart from one that flips a decision.
 Takes about a minute on two cores.
 """
 
@@ -86,6 +89,7 @@ def main():
             "simulate_null_stats",
             "coefficient_matrix",
             "run_multiple_test",
+            "decisions",
             "run_single_test",
             "gaue_grid",
             "calibrate_u_alpha",
@@ -135,6 +139,7 @@ def main():
             o.single_reject,
             np.array([o.n_parents, o.m_children]),
         )
+        out["decisions"].add(np.array([o.reject]), o.single_reject, np.array([o.u_alpha]))
         decisions = [
             pw.run_single_test(ix, parents, children, cfg, seed=seed)
             for ix in SINGLE_INDICES

@@ -95,8 +95,8 @@ class NullStatMatrix:
             raise ValueError("stats must be (B, n_indices)")
         if self.stats.shape[0] < 2 or self.stats.shape[0] % 2:
             raise ValueError("row count B must be even and >= 2")
-        if np.any(self.stats < 0):
-            raise ValueError("null statistics are absolute values, >= 0")
+        if not (self.stats >= 0).all():
+            raise ValueError("null statistics are absolute values, >= 0 and not NaN")
 
     @property
     def quantile_half(self) -> np.ndarray:
@@ -136,13 +136,15 @@ def simulate_null_stats(
 def empirical_quantile(column, p: float) -> float:
     """Smallest sample value whose exceedance fraction is <= p.
 
-    column must be sorted ascending. Equals the order statistic of rank
-    ceil((1-p) * len(column)); rank 0 (p = 1) returns -inf, a value below
-    every observation.
+    column must be finite and sorted ascending. Equals the order statistic
+    of rank ceil((1-p) * len(column)); rank 0 (p = 1) returns -inf, a value
+    below every observation.
     """
     col = np.asarray(column, dtype=np.float64)
     if col.ndim != 1 or col.size == 0:
         raise ValueError("column must be a nonempty one-dimensional sample")
+    if not np.isfinite(col).all():
+        raise ValueError("column must be finite")
     if np.any(np.diff(col) < 0):
         raise ValueError("column must be sorted ascending")
     if not 0.0 < p <= 1.0:

@@ -71,9 +71,11 @@ def kolmogorov_sf(x: float) -> float:
 def ks_test(children: EventTrain, obs: Window, alpha: float) -> KsResult:
     """Kolmogorov-Smirnov test of the children against Unif(obs).
 
-    Uses the asymptotic p-value K(sqrt(m) * D); with the child counts handled
-    here (m of order 10^2) the finite-m correction is negligible next to
-    Monte-Carlo noise. An empty train accepts with the no-information flag.
+    Uses the asymptotic p-value K(sqrt(m) * D), which is conservative at
+    small m: at T=1 the window holds about 16-21 children, where the exact
+    size of the test at alpha = 0.05 is 0.038-0.039 (0.034 at m=10, 0.046 at
+    m=120). ROADMAP.md item 4 plans the exact finite-m law. An empty train
+    accepts with the no-information flag.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0; 1)")

@@ -145,8 +145,8 @@ def haar_antiderivative(index: WaveletIndex, t):
     return float(val) if np.isscalar(t) else val
 
 
-def haar_tent(j: int, k, t) -> np.ndarray:
-    """haar_antiderivative of phi_(j,k) at t, broadcasting over k and t.
+def haar_tent(j, k, t) -> np.ndarray:
+    """haar_antiderivative of phi_(j,k) at t, broadcasting over j, k and t.
 
     Outside the support the value is +0.0, never -0.0.
     """

@@ -65,6 +65,9 @@ def test_quantile_rank_examples():
         pw.empirical_quantile(np.array([]), 0.5)
     with pytest.raises(ValueError):
         pw.empirical_quantile(np.array([3.0, 1.0, 2.0]), 0.5)  # not sorted
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            pw.empirical_quantile(np.array([0.1, 0.2, bad]), 0.5)
 
 
 def test_quantile_rank_float_robustness():
@@ -125,6 +128,11 @@ def test_null_stats_shape_and_split():
     assert nulls.calibration_half.shape == (2, idx.size)
     with pytest.raises(ValueError):
         pw.simulate_null_stats(parents, 5, idx, 3, pw.Window(-1.0, 3.0), pw.RngSeed(3))
+    for bad in (-1.0, np.nan):
+        stats = nulls.stats.copy()
+        stats[1, 0] = bad
+        with pytest.raises(ValueError):
+            pw.NullStatMatrix(stats, idx)
 
 
 def test_null_stats_single_pair_support():

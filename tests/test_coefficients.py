@@ -190,11 +190,12 @@ def test_matrix_rows_equal_one_row_calls(par, rows, m, j0, side, block, seed):
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=120, deadline=None)
-def test_per_level_correction_matches_per_index_sums(T, rows, m, j0, side, block, seed):
-    # the kernel's shift-mean correction equals, bit for bit, one
-    # uniform_shift_mean + bincount column per index over the row-major
-    # values; short horizons (T < 2^-j0) make x and x - T meet one support,
-    # and draws on dyadic points or at a dyadic point + T hit the tent zeros
+def test_correction_matches_per_index_sums(T, rows, m, j0, side, block, seed):
+    # the kernel's shift-mean correction matches one uniform_shift_mean +
+    # bincount column per index to within a few ulp of the term scale 1/T
+    # per value; short horizons (T < 2^-j0) make x and x - T meet one
+    # support, where the kernel adds their terms apart, and draws on dyadic
+    # points or at a dyadic point + T hit the tent corners
     rng = np.random.default_rng(seed)
     parents = train(np.sort(rng.uniform(0.0, T, rng.integers(1, 6))), 0.0, T)
     idx = pw.IndexSet(j0, side)
@@ -222,7 +223,27 @@ def test_per_level_correction_matches_per_index_sums(T, rows, m, j0, side, block
     ).reshape(rows, idx.size)
     with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
         beta = pw.coefficient_matrix(parents, samples, idx)
-    assert np.array_equal(beta, (raw - (n - 1) * correction) / n)
+    ref = (raw - (n - 1) * correction) / n
+    assert np.all(np.abs(beta - ref) <= 8 * np.finfo(float).eps * max(m, 1) / T)
+
+
+@pytest.mark.parametrize("j0", [3, 6])
+def test_multi_row_blocks_equal_one_row_calls(j0):
+    # at the default block size a block holds many rows (275 at j0=3 and 63
+    # at j0=6 for m=119), and each row's estimates are still the bits of its
+    # one-row call; a third of the draws sit near the window ends, where the
+    # shift-mean correction is nonzero
+    parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 2.0, 7)
+    sp, observed, window = pw.scale_clip(parents, children, 50.0)
+    idx = pw.IndexSet(j0)
+    rng = np.random.default_rng(j0)
+    draws = rng.uniform(window.lo, window.hi, size=(300, observed.count()))
+    draws[:, :20] = rng.uniform(window.lo, window.lo + 2.0, (300, 20))
+    draws[:, 20:40] = rng.uniform(window.hi - 2.0, window.hi, (300, 20))
+    batch = pw.coefficient_matrix(sp, draws, idx)
+    for b in range(0, 300, 3):
+        one = pw.coefficient_matrix(sp, draws[b][None, :], idx)[0]
+        assert np.array_equal(batch[b], one)
 
 
 @pytest.mark.parametrize("j0", [3, 6])
