@@ -16,7 +16,9 @@ nine datasets (T=2, seed 0, j0=3) at B in {2000, 20000} and alpha in
 {0.01, 0.05, 0.3}, so that calibration changes show apart from the kernel's.
 The decisions line hashes only reject, single_reject and u_alpha of the
 run_multiple_test outcomes, so a change that moves floats but no decision
-shows apart from one that flips a decision.
+shows apart from one that flips a decision. The make_dataset line draws the
+nine datasets at both horizons from SeedSequence(s, spawn_key=(k,)) seeds,
+the form the CLI and the experiments pass.
 Takes about a minute on two cores.
 """
 
@@ -84,6 +86,7 @@ def main():
     out = {
         name: Digest()
         for name in (
+            "make_dataset",
             "estimate_coefficients",
             "pair_cascade",
             "simulate_null_stats",
@@ -96,6 +99,13 @@ def main():
             "thresholds",
         )
     }
+    for name in pw.DATASET_NAMES:
+        for T in HORIZONS:
+            for s in SEEDS:
+                for k in (0, 1, 7):
+                    seq = np.random.SeedSequence(s, spawn_key=(k,))
+                    parents, children = pw.make_dataset(pw.DatasetId(name), T, seq)
+                    out["make_dataset"].add(parents.times, children.times)
     for name, T, seed, parents, children in datasets():
         grid = pw.gaue_grid(parents, children, T, 0.05)
         out["gaue_grid"].add(

@@ -24,8 +24,6 @@ from .simulate import as_generator
 __all__ = [
     "TestConfig",
     "NullStatMatrix",
-    "TestOutcome",
-    "aggregation_weight",
     "aggregation_weights",
     "simulate_null_stats",
     "empirical_quantile",
@@ -37,23 +35,18 @@ __all__ = [
 _LOG_PI_OVER_SQRT6 = math.log(math.pi / math.sqrt(6.0))
 
 
-def aggregation_weight(index: WaveletIndex, side: str = TWO_SIDED) -> float:
-    """Weight w = 2(ln(j+1) + ln(pi/sqrt(6))) + ln|K_j| for one index.
+def aggregation_weights(idx: IndexSet) -> np.ndarray:
+    """Weights w = 2(ln(j+1) + ln(pi/sqrt(6))) + ln|K_j|, one per index of idx.
 
     K_j is the family's translation range at resolution j (IndexSet.k_range),
-    which keeps sum(exp(-w)) <= 1 for either side. The value depends on j
-    only.
+    which keeps sum(exp(-w)) <= 1 for either side. The weight depends on j
+    only, so it is computed once per level.
     """
-    translations = IndexSet(index.j, side).k_range(index.j)
-    if index.k not in translations:
-        raise ValueError(f"{index} lies outside the {side} family")
-    return 2.0 * (math.log(index.j + 1) + _LOG_PI_OVER_SQRT6) + math.log(
-        len(translations)
-    )
-
-
-def aggregation_weights(idx: IndexSet) -> np.ndarray:
-    return np.array([aggregation_weight(ix, idx.side) for ix in idx.indices])
+    per_level = [
+        2.0 * (math.log(j + 1) + _LOG_PI_OVER_SQRT6) + math.log(len(idx.k_range(j)))
+        for j in range(idx.j0 + 1)
+    ]
+    return np.array(per_level)[idx.js]
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,9 @@ import numpy as np
 from .process import EventTrain, Window, pair_differences, times_in
 
 __all__ = [
-    "KsResult",
-    "GaueResult",
     "DELTA_GRID",
     "kolmogorov_sf",
     "ks_test",
-    "coincidence_count",
     "gaue_test",
     "gaue_grid",
 ]
@@ -90,39 +87,29 @@ def ks_test(children: EventTrain, obs: Window, alpha: float) -> KsResult:
     return KsResult(d_stat, p_value, p_value <= alpha)
 
 
-def _coincidences(parents: EventTrain, children: EventTrain, T: float, deltas):
-    """Parent and child counts on [0; T] and the coincidence count per delta.
-
-    One sorted sweep at the largest delta collects the exact differences;
-    each count of pairs with |x - y| <= delta is then a binary search in the
-    sorted |differences|, so it matches brute-force pair enumeration exactly.
-    """
-    window = Window(0.0, T)
-    px = times_in(parents, window)
-    cy = times_in(children, window)
-    diffs, _ = pair_differences(px, cy, max(deltas))
-    counts = np.searchsorted(np.sort(np.abs(diffs)), deltas, side="right")
-    return px.size, cy.size, counts
-
-
-def coincidence_count(parents: EventTrain, children: EventTrain, T: float, delta: float) -> int:
-    """Number of pairs (x, y) in parents x children on [0; T] with |x - y| <= delta."""
-    return int(_coincidences(parents, children, T, (delta,))[2][0])
-
-
 def _gaue_results(
     parents: EventTrain, children: EventTrain, T: float, deltas, alpha: float
 ) -> list[GaueResult]:
-    """Coincidence-count test at every delay in deltas (see gaue_test)."""
+    """Coincidence-count test at every delay in deltas (see gaue_test).
+
+    One sorted sweep at the largest delta collects the exact parent/child
+    differences on [0; T]; each count of pairs with |x - y| <= delta is then
+    a binary search in the sorted |differences|, so it matches brute-force
+    pair enumeration exactly.
+    """
     if not all(0.0 < delta < T for delta in deltas):
         raise ValueError("delta must lie in (0; T)")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0; 1)")
-    n_p, n_c, counts = _coincidences(parents, children, T, deltas)
-    if n_p == 0 or n_c == 0:
+    window = Window(0.0, T)
+    px = times_in(parents, window)
+    cy = times_in(children, window)
+    if px.size == 0 or cy.size == 0:
         return [GaueResult(0, 0.0, 0.0, delta, False) for delta in deltas]
-    rate_p = n_p / T
-    rate_c = n_c / T
+    diffs, _ = pair_differences(px, cy, max(deltas))
+    counts = np.searchsorted(np.sort(np.abs(diffs)), deltas, side="right")
+    rate_p = px.size / T
+    rate_c = cy.size / T
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     results = []
     for delta, x_t in zip(deltas, counts.tolist()):

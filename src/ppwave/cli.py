@@ -7,6 +7,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .adaptive import TestConfig, run_multiple_test
 from .baselines import gaue_grid, gaue_test, ks_test
 from .coefficients import estimate_coefficients
@@ -26,7 +28,16 @@ from .process import (
     scale_clip,
     write_events,
 )
-from .simulate import DATASET_NAMES, DatasetId, RngSeed, make_dataset
+from .simulate import DATASET_NAMES, DatasetId, make_dataset
+
+
+def _seed(args) -> np.random.SeedSequence:
+    """Stream 0 of --seed.
+
+    The spawn key (0,) is fixed: a given --seed must keep giving the same
+    simulate files and test output.
+    """
+    return np.random.SeedSequence(args.seed, spawn_key=(0,))
 
 
 def _add_simulate(sub):
@@ -40,9 +51,7 @@ def _add_simulate(sub):
 
 
 def _cmd_simulate(args) -> int:
-    parents, children = make_dataset(
-        DatasetId(args.dataset), args.T, RngSeed(args.seed)
-    )
+    parents, children = make_dataset(DatasetId(args.dataset), args.T, _seed(args))
     write_events(parents, args.out_parents)
     write_events(children, args.out_children)
     print(
@@ -115,7 +124,7 @@ def _cmd_test(args) -> int:
             print(f"{ix.j},{ix.k},{b:.10g},{t:.10g}")
         return 0
 
-    outcome = run_multiple_test(parents, children, cfg, seed=RngSeed(args.seed))
+    outcome = run_multiple_test(parents, children, cfg, seed=_seed(args))
     print(f"decision: {'reject' if outcome.reject else 'accept'}")
     print(f"u_alpha: {outcome.u_alpha:.6g}")
     if outcome.no_information:

@@ -23,18 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import (
-    IndexSet,
-    WaveletIndex,
-    haar_amplitude,
-    haar_sign,
-    haar_tent,
-)
+from .haar import IndexSet, haar_amplitude, haar_sign, haar_tent
 from .process import EventTrain, pair_differences, parent_horizon
 
 __all__ = [
     "NoParentsError",
-    "CoefficientField",
     "coefficient_matrix",
     "estimate_coefficients",
     "pair_cascade",
@@ -52,9 +45,6 @@ class CoefficientField:
     index_set: IndexSet
     beta_hat: np.ndarray
     t_stat: np.ndarray
-
-    def value(self, index: WaveletIndex) -> float:
-        return float(self.beta_hat[self.index_set.position(index)])
 
 
 def _slot_positions(j0: int) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "LEVEL_DATASETS",
     "POWER_DATASETS",
     "ExperimentConfig",
-    "ReportRow",
     "ExperimentReport",
     "run_level_experiment",
     "run_power_experiment",
@@ -71,12 +70,18 @@ class ExperimentConfig:
             raise ValueError("R must be >= 1")
         if self.T <= 0:
             raise ValueError("T must be > 0")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
         self.test_config  # TestConfig validates alpha, B, j0, side and scale
         for name in self.datasets:
             DatasetId(name)
         unknown = set(self.methods) - set(_KNOWN_METHODS)
         if unknown or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {_KNOWN_METHODS}")
+        if "gaue" in self.methods and self.T <= max(DELTA_GRID):
+            raise ValueError(
+                f"T = {self.T} must exceed the largest gaue delay {max(DELTA_GRID)}"
+            )
 
     @cached_property
     def test_config(self) -> TestConfig:

@@ -29,7 +29,6 @@ __all__ = [
     "haar_amplitude",
     "haar_sign",
     "haar_eval",
-    "haar_antiderivative",
     "haar_tent",
     "uniform_shift_mean",
 ]
@@ -135,20 +134,11 @@ def haar_eval(index: WaveletIndex, x):
     return float(out) if np.isscalar(x) else out
 
 
-def haar_antiderivative(index: WaveletIndex, t):
-    """Integral of phi_(j,k) from -inf to t.
+def haar_tent(j, k, t) -> np.ndarray:
+    """Integral of phi_(j,k) from -inf to t, broadcasting over j, k and t.
 
     A downward tent on the support: 0 at k2^-j, minimum -2^(-j/2-1) at the
-    midpoint, back to 0 at (k+1)2^-j, and 0 outside.
-    """
-    val = haar_tent(index.j, index.k, t)
-    return float(val) if np.isscalar(t) else val
-
-
-def haar_tent(j, k, t) -> np.ndarray:
-    """haar_antiderivative of phi_(j,k) at t, broadcasting over j, k and t.
-
-    Outside the support the value is +0.0, never -0.0.
+    midpoint, back to 0 at (k+1)2^-j, and +0.0 (never -0.0) outside.
     """
     y = np.ldexp(np.asarray(t, dtype=np.float64), j) - k
     tent = np.minimum(y, 1.0 - y)
@@ -160,5 +150,6 @@ def uniform_shift_mean(index: WaveletIndex, v, T: float):
     if T <= 0:
         raise ValueError("T must be > 0")
     v_arr = np.asarray(v, dtype=np.float64)
-    out = (haar_antiderivative(index, v_arr) - haar_antiderivative(index, v_arr - T)) / T
+    j, k = index.j, index.k
+    out = (haar_tent(j, k, v_arr) - haar_tent(j, k, v_arr - T)) / T
     return float(out) if np.isscalar(v) else out

@@ -16,7 +16,6 @@ import numpy as np
 from .process import EventTrain, InteractionModel, Window
 
 __all__ = [
-    "RngSeed",
     "DatasetId",
     "DATASET_NAMES",
     "as_generator",
@@ -45,32 +44,14 @@ _DATASETS = {
 DATASET_NAMES = tuple(_DATASETS)
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """Deterministic seed: (master_seed, stream_id) fixes the generator state."""
-
-    master_seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        if self.master_seed < 0 or self.stream_id < 0:
-            raise ValueError("seed components must be nonnegative")
-
-    def sequence(self, *keys: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(
-            self.master_seed, spawn_key=(self.stream_id, *keys)
-        )
-
-    def generator(self, *keys: int) -> np.random.Generator:
-        return np.random.default_rng(self.sequence(*keys))
-
-
 def as_generator(seed) -> np.random.Generator:
-    """Accept an RngSeed, SeedSequence, Generator or int and return a Generator."""
+    """The one seed rule: an int, a SeedSequence or a Generator gives a Generator.
+
+    Anything else, None included, raises TypeError, so no call falls back to
+    OS entropy.
+    """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, RngSeed):
-        return seed.generator()
     if isinstance(seed, (int, np.integer, np.random.SeedSequence)):
         return np.random.default_rng(seed)
     raise TypeError(f"cannot build a generator from {type(seed).__name__}")
@@ -162,19 +143,10 @@ def make_dataset(dataset: DatasetId, T: float, seed) -> tuple[EventTrain, EventT
 
     Parents are homogeneous Poisson(50) on [0; T]; children follow the
     dataset's (theta, nu) with orphan rate 20 on [-1; T+1]. Both trains are in
-    original (unscaled) time.
+    original (unscaled) time. The two trains draw from the two children of
+    the seed's SeedSequence (Generator.spawn).
     """
-    if isinstance(seed, RngSeed):
-        seq = seed.sequence()
-    elif isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(seed)
-    parent_seq, child_seq = seq.spawn(2)
-    parents = sim_homogeneous_poisson(
-        PARENT_RATE, Window(0.0, T), np.random.default_rng(parent_seq)
-    )
-    children = sim_child_process(
-        parents, dataset.model(T), seed=np.random.default_rng(child_seq)
-    )
+    parent_rng, child_rng = as_generator(seed).spawn(2)
+    parents = sim_homogeneous_poisson(PARENT_RATE, Window(0.0, T), parent_rng)
+    children = sim_child_process(parents, dataset.model(T), seed=child_rng)
     return parents, children

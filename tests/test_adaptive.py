@@ -18,9 +18,8 @@ def train(times, lo, hi):
 
 def test_weight_level_zero():
     expected = 2.0 * math.log(math.pi / math.sqrt(6.0)) + math.log(2.0)
-    assert pw.aggregation_weight(pw.WaveletIndex(0, 0)) == pytest.approx(
-        expected, abs=1e-12
-    )
+    weights = pw.aggregation_weights(pw.IndexSet(0))
+    assert weights == pytest.approx([expected, expected], abs=1e-12)
     assert expected == pytest.approx(1.1908474830, abs=1e-9)
 
 
@@ -34,20 +33,23 @@ def test_weight_sum_stays_below_one():
 
 
 def test_weight_depends_on_level_only():
-    for j in range(4):
-        vals = {
-            pw.aggregation_weight(pw.WaveletIndex(j, k)) for k in range(-(2**j), 2**j)
-        }
-        assert len(vals) == 1
+    # every index gets its level's closed form, bit for bit (math.log)
+    log_c = math.log(math.pi / math.sqrt(6.0))
+    for side in (pw.TWO_SIDED, pw.NONNEG):
+        idx = pw.IndexSet(3, side)
+        weights = pw.aggregation_weights(idx)
+        for ix, w in zip(idx.indices, weights):
+            size = len(idx.k_range(ix.j))
+            assert w == 2.0 * (math.log(ix.j + 1) + log_c) + math.log(size)
 
 
 def test_weight_family_membership():
     with pytest.raises(ValueError):
-        pw.aggregation_weight(pw.WaveletIndex(1, 2))  # k outside K_1
+        pw.IndexSet(1).position(pw.WaveletIndex(1, 2))  # k outside K_1
     with pytest.raises(ValueError):
-        pw.aggregation_weight(pw.WaveletIndex(1, -1), pw.NONNEG)
+        pw.IndexSet(1, pw.NONNEG).position(pw.WaveletIndex(1, -1))
     with pytest.raises(ValueError):
-        pw.aggregation_weight(pw.WaveletIndex(0, 0), "sideways")
+        pw.aggregation_weights(pw.IndexSet(0, "sideways"))
 
 
 # --- empirical quantiles -----------------------------------------------------
@@ -121,13 +123,25 @@ def test_null_stats_shape_and_split():
     parents = train([0.2, 1.0], 0.0, 2.0)
     idx = pw.IndexSet(2)
     nulls = pw.simulate_null_stats(
-        parents, 5, idx, 4, pw.Window(-1.0, 3.0), pw.RngSeed(3)
+        parents,
+        5,
+        idx,
+        4,
+        pw.Window(-1.0, 3.0),
+        np.random.SeedSequence(3, spawn_key=(0,)),
     )
     assert nulls.stats.shape == (4, idx.size)
     assert nulls.quantile_half.shape == (2, idx.size)
     assert nulls.calibration_half.shape == (2, idx.size)
     with pytest.raises(ValueError):
-        pw.simulate_null_stats(parents, 5, idx, 3, pw.Window(-1.0, 3.0), pw.RngSeed(3))
+        pw.simulate_null_stats(
+            parents,
+            5,
+            idx,
+            3,
+            pw.Window(-1.0, 3.0),
+            np.random.SeedSequence(3, spawn_key=(0,)),
+        )
     for bad in (-1.0, np.nan):
         stats = nulls.stats.copy()
         stats[1, 0] = bad
@@ -141,7 +155,12 @@ def test_null_stats_single_pair_support():
     parents = train([0.0], 0.0, 2.0)
     idx = pw.IndexSet(0)
     nulls = pw.simulate_null_stats(
-        parents, 1, idx, 400, pw.Window(-1.0, 3.0), pw.RngSeed(5)
+        parents,
+        1,
+        idx,
+        400,
+        pw.Window(-1.0, 3.0),
+        np.random.SeedSequence(5, spawn_key=(0,)),
     )
     col = nulls.stats[:, idx.position(pw.WaveletIndex(0, 0))]
     assert set(np.unique(col)) <= {0.0, 1.0}
@@ -152,7 +171,12 @@ def test_null_stats_degenerate_m_zero():
     parents = train([0.2, 1.0], 0.0, 2.0)
     idx = pw.IndexSet(2)
     nulls = pw.simulate_null_stats(
-        parents, 0, idx, 6, pw.Window(-1.0, 3.0), pw.RngSeed(4)
+        parents,
+        0,
+        idx,
+        6,
+        pw.Window(-1.0, 3.0),
+        np.random.SeedSequence(4, spawn_key=(0,)),
     )
     assert np.all(nulls.stats == 0.0)
 
@@ -160,8 +184,22 @@ def test_null_stats_degenerate_m_zero():
 def test_null_stats_deterministic():
     parents = train([0.2, 1.0, 1.7], 0.0, 2.0)
     idx = pw.IndexSet(3)
-    a = pw.simulate_null_stats(parents, 7, idx, 10, pw.Window(-1.0, 3.0), pw.RngSeed(9))
-    b = pw.simulate_null_stats(parents, 7, idx, 10, pw.Window(-1.0, 3.0), pw.RngSeed(9))
+    a = pw.simulate_null_stats(
+        parents,
+        7,
+        idx,
+        10,
+        pw.Window(-1.0, 3.0),
+        np.random.SeedSequence(9, spawn_key=(0,)),
+    )
+    b = pw.simulate_null_stats(
+        parents,
+        7,
+        idx,
+        10,
+        pw.Window(-1.0, 3.0),
+        np.random.SeedSequence(9, spawn_key=(0,)),
+    )
     assert np.array_equal(a.stats, b.stats)
 
 
@@ -172,9 +210,16 @@ def test_null_rows_match_per_train_statistics():
     idx = pw.IndexSet(3)
     m, B = 40, 6
     nulls = pw.simulate_null_stats(
-        parents, m, idx, B, pw.Window(-1.0, 101.0), pw.RngSeed(33)
+        parents,
+        m,
+        idx,
+        B,
+        pw.Window(-1.0, 101.0),
+        np.random.SeedSequence(33, spawn_key=(0,)),
     )
-    draws = pw.RngSeed(33).generator().uniform(-1.0, 101.0, size=(B, m))
+    draws = np.random.default_rng(
+        np.random.SeedSequence(33, spawn_key=(0,))
+    ).uniform(-1.0, 101.0, size=(B, m))
     for b in range(B):
         coef = pw.estimate_coefficients(
             parents, train(np.sort(draws[b]), -1.0, 101.0), idx
@@ -314,10 +359,16 @@ def test_config_validation():
 
 
 def test_outcome_deterministic_and_consistent():
-    parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 1.0, pw.RngSeed(44))
+    parents, children = pw.make_dataset(
+        pw.DatasetId("Data_80"), 1.0, np.random.SeedSequence(44, spawn_key=(0,))
+    )
     cfg = quick_config()
-    a = pw.run_multiple_test(parents, children, cfg, seed=pw.RngSeed(45))
-    b = pw.run_multiple_test(parents, children, cfg, seed=pw.RngSeed(45))
+    a = pw.run_multiple_test(
+        parents, children, cfg, seed=np.random.SeedSequence(45, spawn_key=(0,))
+    )
+    b = pw.run_multiple_test(
+        parents, children, cfg, seed=np.random.SeedSequence(45, spawn_key=(0,))
+    )
     assert a.reject == b.reject
     assert a.u_alpha == b.u_alpha
     assert np.array_equal(a.t_stat, b.t_stat)
@@ -329,8 +380,15 @@ def test_outcome_deterministic_and_consistent():
 
 
 def test_outcome_positions():
-    parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 1.0, pw.RngSeed(46))
-    out = pw.run_multiple_test(parents, children, quick_config(), seed=pw.RngSeed(47))
+    parents, children = pw.make_dataset(
+        pw.DatasetId("Data_80"), 1.0, np.random.SeedSequence(46, spawn_key=(0,))
+    )
+    out = pw.run_multiple_test(
+        parents,
+        children,
+        quick_config(),
+        seed=np.random.SeedSequence(47, spawn_key=(0,)),
+    )
     idx = out.index_set
     pos = out.positions_scaled
     rng_ = out.ranges_scaled
@@ -349,7 +407,9 @@ def test_outcome_positions():
 def test_no_information_outcomes():
     empty = train([], 0.0, 2.0)
     some = train([0.5], -1.0, 3.0)
-    out = pw.run_multiple_test(empty, some, quick_config(), seed=pw.RngSeed(1))
+    out = pw.run_multiple_test(
+        empty, some, quick_config(), seed=np.random.SeedSequence(1, spawn_key=(0,))
+    )
     assert not out.reject and out.no_information
 
     parents = train([0.5], 0.0, 2.0)
@@ -363,7 +423,9 @@ def test_support_disjoint_children_never_reject():
     rng = np.random.default_rng(58)
     children = train(np.sort(rng.uniform(3, 28, 50)), -1.0, 31.0)
     cfg = pw.TestConfig(B=400, scale=1.0)
-    out = pw.run_multiple_test(parents, children, cfg, seed=pw.RngSeed(59))
+    out = pw.run_multiple_test(
+        parents, children, cfg, seed=np.random.SeedSequence(59, spawn_key=(0,))
+    )
     assert np.all(out.t_stat == 0.0)
     assert not out.reject
 
@@ -373,10 +435,14 @@ def test_single_test_level_under_null():
     R, rejects = 150, 0
     for r in range(R):
         parents, children = pw.make_dataset(
-            pw.DatasetId("Data_0"), 1.0, pw.RngSeed(61, r)
+            pw.DatasetId("Data_0"), 1.0, np.random.SeedSequence(61, spawn_key=(r,))
         )
         rejects += pw.run_single_test(
-            pw.WaveletIndex(0, 0), parents, children, cfg, seed=pw.RngSeed(62, r)
+            pw.WaveletIndex(0, 0),
+            parents,
+            children,
+            cfg,
+            seed=np.random.SeedSequence(62, spawn_key=(r,)),
         )
     rate = rejects / R
     assert rate <= 0.05 + 2 * math.sqrt(0.05 * 0.95 / R)
@@ -388,10 +454,14 @@ def test_single_test_power_at_signal_index():
     R, rejects = 60, 0
     for r in range(R):
         parents, children = pw.make_dataset(
-            pw.DatasetId("Data_80"), 2.0, pw.RngSeed(71, r)
+            pw.DatasetId("Data_80"), 2.0, np.random.SeedSequence(71, spawn_key=(r,))
         )
         rejects += pw.run_single_test(
-            pw.WaveletIndex(0, 0), parents, children, cfg, seed=pw.RngSeed(72, r)
+            pw.WaveletIndex(0, 0),
+            parents,
+            children,
+            cfg,
+            seed=np.random.SeedSequence(72, spawn_key=(r,)),
         )
     assert rejects / R >= 0.9
 
@@ -406,7 +476,9 @@ def test_single_test_power_at_signal_index():
 @settings(max_examples=30, deadline=None)
 def test_single_test_matches_shared_null_path(name, data_seed, j, k_pos, seed):
     ix = pw.WaveletIndex(j, k_pos % 2 ** (j + 1) - 2**j)
-    parents, children = pw.make_dataset(pw.DatasetId(name), 1.0, pw.RngSeed(data_seed))
+    parents, children = pw.make_dataset(
+        pw.DatasetId(name), 1.0, np.random.SeedSequence(data_seed, spawn_key=(0,))
+    )
     cfg = quick_config(B=200)
     sp, observed, window = pw.scale_clip(parents, children, cfg.scale)
     m = observed.count()
@@ -422,10 +494,16 @@ def test_single_test_matches_shared_null_path(name, data_seed, j, k_pos, seed):
 
 
 def test_single_test_degenerate_B2_no_crash():
-    parents, children = pw.make_dataset(pw.DatasetId("Data_10"), 1.0, pw.RngSeed(81))
+    parents, children = pw.make_dataset(
+        pw.DatasetId("Data_10"), 1.0, np.random.SeedSequence(81, spawn_key=(0,))
+    )
     cfg = pw.TestConfig(B=2)
     decision = pw.run_single_test(
-        pw.WaveletIndex(1, 0), parents, children, cfg, seed=pw.RngSeed(82)
+        pw.WaveletIndex(1, 0),
+        parents,
+        children,
+        cfg,
+        seed=np.random.SeedSequence(82, spawn_key=(0,)),
     )
     assert decision in (True, False)
 
@@ -436,7 +514,9 @@ def test_tie_with_threshold_does_not_reject():
     parents = train([0.0], 0.0, 2.0)
     children = train([0.5], -1.0, 3.0)
     cfg = pw.TestConfig(B=200, scale=1.0)
-    out = pw.run_multiple_test(parents, children, cfg, seed=pw.RngSeed(91))
+    out = pw.run_multiple_test(
+        parents, children, cfg, seed=np.random.SeedSequence(91, spawn_key=(0,))
+    )
     pos = out.index_set.position(pw.WaveletIndex(0, 0))
     assert out.t_stat[pos] == 1.0
     assert out.thresholds[pos] == 1.0

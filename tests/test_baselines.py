@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ppwave as pw
-from ppwave.baselines import coincidence_count
 
 
 def train(times, lo, hi):
@@ -99,7 +98,7 @@ def test_coincidence_count_matches_bruteforce():
         delta = float(rng.uniform(0.001, 0.2))
         parents = train(par, 0.0, 2.0)
         children = train(chi, -1.0, 3.0)
-        fast = coincidence_count(parents, children, 2.0, delta)
+        fast = pw.gaue_test(parents, children, 2.0, delta, 0.05).x_t
         inside = chi[(chi >= 0) & (chi <= 2)]
         brute = int(
             (np.abs(np.subtract.outer(inside, par)) <= delta).sum()
@@ -126,17 +125,21 @@ def test_grid_counts_match_bruteforce_on_every_delta(par, chi):
     for g in pw.gaue_grid(parents, children, 2.0, 0.05):
         brute = int(np.count_nonzero(dist <= g.delta))
         assert g.x_t == brute
-        assert coincidence_count(parents, children, 2.0, g.delta) == brute
+        assert pw.gaue_test(parents, children, 2.0, g.delta, 0.05).x_t == brute
 
 
 def test_coincidence_monotone_in_delta():
-    parents, children = pw.make_dataset(pw.DatasetId("Data_50"), 2.0, pw.RngSeed(55))
+    parents, children = pw.make_dataset(
+        pw.DatasetId("Data_50"), 2.0, np.random.SeedSequence(55, spawn_key=(0,))
+    )
     counts = [g.x_t for g in pw.gaue_grid(parents, children, 2.0, 0.05)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
 def test_gaue_grid_shape():
-    parents, children = pw.make_dataset(pw.DatasetId("Data_0"), 2.0, pw.RngSeed(65))
+    parents, children = pw.make_dataset(
+        pw.DatasetId("Data_0"), 2.0, np.random.SeedSequence(65, spawn_key=(0,))
+    )
     grid = pw.gaue_grid(parents, children, 2.0, 0.05)
     assert len(grid) == 40
     assert grid[0].delta == pytest.approx(0.001)
@@ -165,7 +168,9 @@ def test_gaue_two_sided_detects_coincidence_deficit():
 
 
 def test_gaue_validation():
-    parents, children = pw.make_dataset(pw.DatasetId("Data_0"), 2.0, pw.RngSeed(75))
+    parents, children = pw.make_dataset(
+        pw.DatasetId("Data_0"), 2.0, np.random.SeedSequence(75, spawn_key=(0,))
+    )
     with pytest.raises(ValueError):
         pw.gaue_test(parents, children, 2.0, 0.0, 0.05)
     with pytest.raises(ValueError):
@@ -180,7 +185,7 @@ def test_gaue_level_snapshot_under_null():
     rejects = {0.005: 0, 0.02: 0}
     for r in range(R):
         parents, children = pw.make_dataset(
-            pw.DatasetId("Data_0"), 2.0, pw.RngSeed(85, r)
+            pw.DatasetId("Data_0"), 2.0, np.random.SeedSequence(85, spawn_key=(r,))
         )
         for d in rejects:
             rejects[d] += pw.gaue_test(parents, children, 2.0, d, 0.05).reject

@@ -39,7 +39,9 @@ def test_simulate_writes_event_files(tmp_path, capsys):
     children = pw.read_events(cfile)
     assert parents.window == pw.Window(0.0, 2.0)
     assert children.window == pw.Window(-1.0, 3.0)
-    ref_p, ref_c = pw.make_dataset(pw.DatasetId("Data_80"), 2.0, pw.RngSeed(7))
+    ref_p, ref_c = pw.make_dataset(
+        pw.DatasetId("Data_80"), 2.0, np.random.SeedSequence(7, spawn_key=(0,))
+    )
     assert np.array_equal(parents.times, ref_p.times)
     assert np.array_equal(children.times, ref_c.times)
 
@@ -160,6 +162,12 @@ INVALID_INVOCATIONS = {
         "alpha must lie in (0; 1)",
     ),
     "level-T": ("level --R 1 --T 0", "T must be > 0"),
+    "level-gaue-T": ("level --R 1 --T 0.035", "T = 0.035 must exceed"),
+    "level-workers": ("level --R 1 --workers -3", "workers must be >= 1"),
+    "simulate-seed": (
+        "simulate --dataset Data_0 --seed -1 --out-parents {p} --out-children {c}",
+        "non-negative integer",
+    ),
     "level-no-null": ("level --R 1 --datasets Data_80", "must include Data_0"),
     "config-key": ("level --config {bogus}", "unknown config keys ['bogus', 'extra']"),
     "config-not-object": ("level --config {scalar}", "config must be a JSON object"),

@@ -37,7 +37,7 @@ def step_kernel_coefficients(idx, theta, nu, scale=50.0):
     return np.array(
         [
             height
-            * (pw.haar_antiderivative(ix, hi) - pw.haar_antiderivative(ix, lo))
+            * (pw.haar_tent(ix.j, ix.k, hi) - pw.haar_tent(ix.j, ix.k, lo))
             for ix in idx.indices
         ]
     )
@@ -54,8 +54,9 @@ def test_single_parent_has_no_correction():
     # with n=1 the correction weight (n-1)/n vanishes
     parents = train([0.0], 0.0, 7.0)
     children = train([0.75], -1.0, 8.0)
-    coef = pw.estimate_coefficients(parents, children, pw.IndexSet(3))
-    assert coef.value(pw.WaveletIndex(0, 0)) == 1.0
+    idx = pw.IndexSet(3)
+    coef = pw.estimate_coefficients(parents, children, idx)
+    assert coef.beta_hat[idx.position(pw.WaveletIndex(0, 0))] == 1.0
 
 
 def test_no_parents_error():

@@ -38,9 +38,20 @@ def test_config_validation():
         dict(T=-1.0),
         dict(j0=-1),
         dict(side="bogus"),
+        dict(workers=0),
+        dict(workers=-3),
     ):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+
+
+def test_config_rejects_horizon_within_the_delay_grid():
+    # the coincidence test needs every delay of the grid inside (0; T)
+    with pytest.raises(ValueError, match="T = 0.035"):
+        tiny_config(T=0.035)
+    with pytest.raises(ValueError, match="T = 0.04"):
+        tiny_config(T=max(pw.DELTA_GRID))
+    assert tiny_config(T=0.035, methods=("wavelet", "ks")).T == 0.035
 
 
 def test_config_derives_test_config():

@@ -51,15 +51,13 @@ def test_haar_eval_amplitude_and_support():
 
 
 def test_antiderivative_values():
-    assert pw.haar_antiderivative(wix(0, 0), 0.5) == -0.5
-    assert pw.haar_antiderivative(wix(0, 0), 1.0) == 0.0
-    assert pw.haar_antiderivative(wix(0, 0), -0.2) == 0.0
+    assert pw.haar_tent(0, 0, 0.5) == -0.5
+    assert pw.haar_tent(0, 0, 1.0) == 0.0
+    assert pw.haar_tent(0, 0, -0.2) == 0.0
     # minimum at the midpoint: -2^(-j/2-1)
     for j, k in [(0, 0), (1, -1), (2, 1), (3, -5)]:
         mid = (2 * k + 1) * 2.0 ** -(j + 1)
-        assert pw.haar_antiderivative(wix(j, k), mid) == pytest.approx(
-            -(2.0 ** (-j / 2 - 1)), abs=0
-        )
+        assert pw.haar_tent(j, k, mid) == pytest.approx(-(2.0 ** (-j / 2 - 1)), abs=0)
 
 
 @pytest.mark.parametrize("j,k", [(2, 1), (0, 0), (1, -2), (3, 4)])
@@ -71,12 +69,12 @@ def test_antiderivative_matches_quadrature(j, k):
         val, _ = quad(
             lambda x: pw.haar_eval(ix, x), lo - 0.2, t, points=[lo, mid, hi], limit=200
         )
-        assert pw.haar_antiderivative(ix, t) == pytest.approx(val, abs=1e-10)
+        assert pw.haar_tent(ix.j, ix.k, t) == pytest.approx(val, abs=1e-10)
 
 
 def test_zero_integral_exact_over_family():
     for ix in pw.IndexSet(3).indices:
-        assert pw.haar_antiderivative(ix, (ix.k + 1) * 2.0**-ix.j) == 0.0
+        assert pw.haar_tent(ix.j, ix.k, (ix.k + 1) * 2.0**-ix.j) == 0.0
 
 
 def test_uniform_shift_mean_basic():

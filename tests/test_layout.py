@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -38,3 +39,27 @@ def test_package_exports_the_union_of_module_export_lists():
     }
     assert exported == declared
     assert sorted(ppwave.__all__) == sorted(declared)
+
+
+def test_every_export_has_a_user():
+    # an exported name must be used outside its own module: by another
+    # module, a test, a script, the benchmark or README
+    root = Path(__file__).resolve().parents[1]
+    corpus = [root / "README.md"] + [
+        path
+        for top in ("tests", "scripts", "perfbench")
+        for path in (root / top).rglob("*.py")
+    ]
+    texts = [path.read_text() for path in corpus]
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"ppwave.{path.stem}")
+        elsewhere = texts + [
+            other.read_text() for other in PACKAGE.glob("*.py") if other != path
+        ]
+        for name in getattr(module, "__all__", ()):
+            if not any(re.search(rf"\b{name}\b", text) for text in elsewhere):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []

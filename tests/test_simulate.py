@@ -7,30 +7,42 @@ from ppwave.simulate import ORPHAN_RATE, PARENT_RATE
 
 
 def test_zero_rate_is_empty():
-    t = pw.sim_homogeneous_poisson(0.0, pw.Window(0.0, 2.0), pw.RngSeed(1))
+    t = pw.sim_homogeneous_poisson(
+        0.0, pw.Window(0.0, 2.0), np.random.SeedSequence(1, spawn_key=(0,))
+    )
     assert t.count() == 0
     with pytest.raises(ValueError):
-        pw.sim_homogeneous_poisson(-1.0, pw.Window(0.0, 2.0), pw.RngSeed(1))
+        pw.sim_homogeneous_poisson(
+            -1.0, pw.Window(0.0, 2.0), np.random.SeedSequence(1, spawn_key=(0,))
+        )
 
 
 def test_fixed_seed_reproduces():
-    seed = pw.RngSeed(123, 4)
+    seed = np.random.SeedSequence(123, spawn_key=(4,))
     a = pw.sim_homogeneous_poisson(50.0, pw.Window(0.0, 2.0), seed)
     b = pw.sim_homogeneous_poisson(50.0, pw.Window(0.0, 2.0), seed)
     assert np.array_equal(a.times, b.times)
 
-    pa, ca = pw.make_dataset(pw.DatasetId("Data_30r"), 2.0, pw.RngSeed(7))
-    pb, cb = pw.make_dataset(pw.DatasetId("Data_30r"), 2.0, pw.RngSeed(7))
+    pa, ca = pw.make_dataset(
+        pw.DatasetId("Data_30r"), 2.0, np.random.SeedSequence(7, spawn_key=(0,))
+    )
+    pb, cb = pw.make_dataset(
+        pw.DatasetId("Data_30r"), 2.0, np.random.SeedSequence(7, spawn_key=(0,))
+    )
     assert np.array_equal(pa.times, pb.times)
     assert np.array_equal(ca.times, cb.times)
-    pc, _ = pw.make_dataset(pw.DatasetId("Data_30r"), 2.0, pw.RngSeed(8))
+    pc, _ = pw.make_dataset(
+        pw.DatasetId("Data_30r"), 2.0, np.random.SeedSequence(8, spawn_key=(0,))
+    )
     assert not np.array_equal(pa.times, pc.times)
 
 
 def test_poisson_mean_monte_carlo():
     # rate 50 on [0; 2]: mean count over 10^4 seeds within 3 SE of 100
     counts = [
-        pw.sim_homogeneous_poisson(50.0, pw.Window(0.0, 2.0), pw.RngSeed(11, r)).count()
+        pw.sim_homogeneous_poisson(
+            50.0, pw.Window(0.0, 2.0), np.random.SeedSequence(11, spawn_key=(r,))
+        ).count()
         for r in range(10_000)
     ]
     se = np.std(counts, ddof=1) / np.sqrt(len(counts))
@@ -44,7 +56,9 @@ def test_child_process_mean_monte_carlo():
     parents = pw.EventTrain(np.sort(rng.uniform(0, 2, 100)), pw.Window(0.0, 2.0))
     model = pw.InteractionModel(mu_p=50, mu_c=20, theta=80, nu=0.0, T=2.0)
     counts = [
-        pw.sim_child_process(parents, model, seed=pw.RngSeed(13, r)).count()
+        pw.sim_child_process(
+            parents, model, seed=np.random.SeedSequence(13, spawn_key=(r,))
+        ).count()
         for r in range(10_000)
     ]
     se = np.std(counts, ddof=1) / np.sqrt(len(counts))
@@ -55,7 +69,9 @@ def test_child_support_constraint():
     # mu_c=0, one parent at 1, theta=100, nu=0.005: children in [1.005; 1.01]
     parents = pw.EventTrain(np.array([1.0]), pw.Window(0.0, 2.0))
     model = pw.InteractionModel(mu_p=50, mu_c=0, theta=100, nu=0.005, T=2.0)
-    kids = pw.sim_child_process(parents, model, seed=pw.RngSeed(2))
+    kids = pw.sim_child_process(
+        parents, model, seed=np.random.SeedSequence(2, spawn_key=(0,))
+    )
     assert kids.count() > 0
     assert np.all(kids.times >= 1.005) and np.all(kids.times <= 1.01)
 
@@ -64,7 +80,9 @@ def test_child_process_input_validation():
     parents = pw.EventTrain(np.array([2.5]), pw.Window(0.0, 3.0))
     model = pw.InteractionModel(mu_p=50, mu_c=20, theta=0, nu=0.0, T=2.0)
     with pytest.raises(ValueError):
-        pw.sim_child_process(parents, model, seed=pw.RngSeed(0))  # parent beyond T
+        pw.sim_child_process(
+            parents, model, seed=np.random.SeedSequence(0, spawn_key=(0,))
+        )  # parent beyond T
     inside = pw.EventTrain(np.array([1.5]), pw.Window(0.0, 2.0))
     with pytest.raises(TypeError):
         pw.sim_child_process(inside, model)  # the seed is required
@@ -85,7 +103,9 @@ def test_data0_child_count_poisson():
     R, T = 3000, 2.0
     counts = np.array(
         [
-            pw.make_dataset(pw.DatasetId("Data_0"), T, pw.RngSeed(21, r))[1].count()
+            pw.make_dataset(
+                pw.DatasetId("Data_0"), T, np.random.SeedSequence(21, spawn_key=(r,))
+            )[1].count()
             for r in range(R)
         ]
     )
@@ -104,7 +124,9 @@ def test_parents_uniform_given_count():
     rng_times = []
     r = 0
     while sum(len(x) for x in rng_times) < 10_000:
-        parents, _ = pw.make_dataset(pw.DatasetId("Data_0"), 2.0, pw.RngSeed(31, r))
+        parents, _ = pw.make_dataset(
+            pw.DatasetId("Data_0"), 2.0, np.random.SeedSequence(31, spawn_key=(r,))
+        )
         rng_times.append(parents.times)
         r += 1
     pooled = np.concatenate(rng_times)
@@ -117,7 +139,9 @@ def test_reproduction_gaps_within_kernel_support():
     # with no orphans every gap must land in [nu; b]
     parents = pw.EventTrain(np.array([0.1, 0.7, 1.3, 1.9]), pw.Window(0.0, 2.0))
     model = pw.InteractionModel(mu_p=50, mu_c=0, theta=400, nu=0.005, T=2.0)
-    kids = pw.sim_child_process(parents, model, seed=pw.RngSeed(42))
+    kids = pw.sim_child_process(
+        parents, model, seed=np.random.SeedSequence(42, spawn_key=(0,))
+    )
     assert kids.count() > 0
     gaps = kids.times[:, None] - parents.times[None, :]
     gaps = np.where(gaps >= 0, gaps, np.inf).min(axis=1)
@@ -125,7 +149,9 @@ def test_reproduction_gaps_within_kernel_support():
 
 
 def test_data0_children_marginally_poisson_rate():
-    _, children = pw.make_dataset(pw.DatasetId("Data_0"), 2.0, pw.RngSeed(51))
+    _, children = pw.make_dataset(
+        pw.DatasetId("Data_0"), 2.0, np.random.SeedSequence(51, spawn_key=(0,))
+    )
     assert children.window == pw.Window(-1.0, 3.0)
 
 
@@ -133,9 +159,45 @@ def test_data80_expected_child_count():
     # E[#children] = 20*4 + E[n]*0.8 = 160 with n ~ Poisson(100)
     counts = np.array(
         [
-            pw.make_dataset(pw.DatasetId("Data_80"), 2.0, pw.RngSeed(61, r))[1].count()
+            pw.make_dataset(
+                pw.DatasetId("Data_80"), 2.0, np.random.SeedSequence(61, spawn_key=(r,))
+            )[1].count()
             for r in range(4000)
         ]
     )
     se = counts.std(ddof=1) / np.sqrt(counts.size)
     assert abs(counts.mean() - 160.0) <= 3 * se
+
+
+_PARENTS = pw.EventTrain(np.array([0.2, 1.0, 1.7]), pw.Window(0.0, 2.0))
+_DATA80 = pw.make_dataset(pw.DatasetId("Data_80"), 1.0, 3)
+
+# Each seeded entry point, reduced to an array that its seed determines.
+SEEDED = {
+    "sim_homogeneous_poisson": lambda seed: pw.sim_homogeneous_poisson(
+        50.0, pw.Window(0.0, 2.0), seed
+    ).times,
+    "sim_child_process": lambda seed: pw.sim_child_process(
+        _PARENTS, pw.DatasetId("Data_80").model(2.0), seed
+    ).times,
+    "make_dataset": lambda seed: np.concatenate(
+        [t.times for t in pw.make_dataset(pw.DatasetId("Data_30r"), 2.0, seed)]
+    ),
+    "simulate_null_stats": lambda seed: pw.simulate_null_stats(
+        _PARENTS, 5, pw.IndexSet(2), 4, pw.Window(-1.0, 3.0), seed
+    ).stats,
+    "run_multiple_test": lambda seed: pw.run_multiple_test(
+        *_DATA80, pw.TestConfig(B=20), seed
+    ).thresholds,
+}
+
+
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+def test_every_seeded_call_takes_int_sequence_or_generator(call):
+    # one seed rule: s, SeedSequence(s) and default_rng(s) give the same draws,
+    # and None (OS entropy) is refused
+    expected = call(5)
+    assert np.array_equal(call(np.random.SeedSequence(5)), expected)
+    assert np.array_equal(call(np.random.default_rng(5)), expected)
+    with pytest.raises(TypeError):
+        call(None)
