@@ -215,54 +215,27 @@ class TestOutcome:
     n_parents: int
     m_children: int
     scale: float
-    no_information: bool = False
-
-    @cached_property
-    def positions_scaled(self) -> np.ndarray:
-        """Detection positions k * 2^-j in scaled time, one per index."""
-        return self.index_set.ks * 2.0 ** (-self.index_set.js.astype(np.float64))
-
-    @cached_property
-    def ranges_scaled(self) -> np.ndarray:
-        """Detection ranges 2^-j in scaled time, one per index."""
-        return 2.0 ** (-self.index_set.js.astype(np.float64))
+    no_information: bool
 
     @property
     def positions_original(self) -> np.ndarray:
-        return self.positions_scaled / self.scale
+        """Detection positions k 2^-j in original time, one per index."""
+        js = self.index_set.js.astype(np.float64)
+        return self.index_set.ks * 2.0 ** (-js) / self.scale
 
     @property
     def ranges_original(self) -> np.ndarray:
-        return self.ranges_scaled / self.scale
-
-    def rejected_positions(self, original: bool = True) -> list[tuple[float, float]]:
-        """(position, range) for every rejecting index, in original or scaled time."""
-        pos = self.positions_original if original else self.positions_scaled
-        rng = self.ranges_original if original else self.ranges_scaled
-        return [
-            (float(p), float(r))
-            for p, r, rej in zip(pos, rng, self.single_reject)
-            if rej
-        ]
+        """Detection ranges 2^-j in original time, one per index."""
+        return 2.0 ** (-self.index_set.js.astype(np.float64)) / self.scale
 
 
-def _no_information_outcome(
-    idx: IndexSet, n: int, m: int, scale: float, alpha: float
-) -> TestOutcome:
-    size = idx.size
-    return TestOutcome(
-        reject=False,
-        u_alpha=alpha,
-        index_set=idx,
-        beta_hat=np.zeros(size),
-        t_stat=np.zeros(size),
-        thresholds=np.full(size, np.nan),
-        single_reject=np.zeros(size, dtype=bool),
-        n_parents=n,
-        m_children=m,
-        scale=scale,
-        no_information=True,
-    )
+def _informative_inputs(parents: EventTrain, children: EventTrain, scale: float):
+    """(scaled parents, kept children, analysis window, m); None if n = 0 or m = 0."""
+    if parents.count() == 0:
+        return None
+    scaled_parents, observed, analysis = scale_clip(parents, children, scale)
+    m = observed.count()
+    return (scaled_parents, observed, analysis, m) if m else None
 
 
 def run_multiple_test(
@@ -280,31 +253,32 @@ def run_multiple_test(
     accepting outcome with the no-information flag set.
     """
     idx = config.index_set
-    n = parents.count()
-    if n == 0:
-        return _no_information_outcome(idx, 0, 0, config.scale, config.alpha)
-    scaled_parents, observed, analysis = scale_clip(parents, children, config.scale)
-    m = observed.count()
-    if m == 0:
-        return _no_information_outcome(idx, n, 0, config.scale, config.alpha)
-
-    coef = estimate_coefficients(scaled_parents, observed, idx)
-    nulls = simulate_null_stats(scaled_parents, m, idx, config.B, analysis, seed)
-    weights = aggregation_weights(idx)
-    u_alpha = calibrate_u_alpha(nulls, weights, config.alpha)
-    thresholds = _thresholds(nulls.sorted_quantile_half, u_alpha * np.exp(-weights))
-    single = coef.t_stat > thresholds
+    inputs = _informative_inputs(parents, children, config.scale)
+    if inputs is None:
+        m, u_alpha = 0, config.alpha
+        beta_hat, t_stat = np.zeros(idx.size), np.zeros(idx.size)
+        thresholds = np.full(idx.size, np.nan)
+    else:
+        scaled_parents, observed, analysis, m = inputs
+        coef = estimate_coefficients(scaled_parents, observed, idx)
+        nulls = simulate_null_stats(scaled_parents, m, idx, config.B, analysis, seed)
+        weights = aggregation_weights(idx)
+        u_alpha = calibrate_u_alpha(nulls, weights, config.alpha)
+        thresholds = _thresholds(nulls.sorted_quantile_half, u_alpha * np.exp(-weights))
+        beta_hat, t_stat = coef.beta_hat, coef.t_stat
+    single = t_stat > thresholds  # all False against the NaN thresholds
     return TestOutcome(
         reject=bool(single.any()),
         u_alpha=u_alpha,
         index_set=idx,
-        beta_hat=coef.beta_hat,
-        t_stat=coef.t_stat,
+        beta_hat=beta_hat,
+        t_stat=t_stat,
         thresholds=thresholds,
         single_reject=single,
-        n_parents=n,
+        n_parents=parents.count(),
         m_children=m,
         scale=config.scale,
+        no_information=inputs is None,
     )
 
 
@@ -320,16 +294,12 @@ def run_single_test(
     The quantile is taken over all B null rows (no half split is needed
     without aggregation).
     """
-    if not index.in_family():
-        raise ValueError(f"{index} lies outside the test family")
-    if parents.count() == 0:
-        return False
-    scaled_parents, observed, analysis = scale_clip(parents, children, config.scale)
-    m = observed.count()
-    if m == 0:
-        return False
     idx = IndexSet(index.j)
-    p = idx.position(index)
+    p = idx.position(index)  # raises for an index outside the family
+    inputs = _informative_inputs(parents, children, config.scale)
+    if inputs is None:
+        return False
+    scaled_parents, observed, analysis, m = inputs
     stat = estimate_coefficients(scaled_parents, observed, idx).t_stat[p]
     nulls = simulate_null_stats(scaled_parents, m, idx, config.B, analysis, seed)
     threshold = empirical_quantile(np.sort(nulls.stats[:, p]), config.alpha)

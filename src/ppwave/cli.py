@@ -37,6 +37,8 @@ def _seed(args) -> np.random.SeedSequence:
     The spawn key (0,) is fixed: a given --seed must keep giving the same
     simulate files and test output.
     """
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     return np.random.SeedSequence(args.seed, spawn_key=(0,))
 
 
@@ -72,12 +74,7 @@ def _add_test(sub):
     p.add_argument("--B", type=int, default=TestConfig.B)
     p.add_argument("--scale", type=float, default=TestConfig.scale)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, help="single delay for --method gaue")
-    p.add_argument(
-        "--delta-grid",
-        action="store_true",
-        help="evaluate gaue over the 0.001..0.040 grid",
-    )
+    p.add_argument("--delta", type=float, help="one gaue delay (default: the grid)")
     p.add_argument(
         "--coeffs-only",
         action="store_true",
@@ -87,6 +84,7 @@ def _add_test(sub):
 
 
 def _cmd_test(args) -> int:
+    seed = _seed(args)
     cfg = TestConfig(
         alpha=args.alpha, j0=args.j0, side=args.side, B=args.B, scale=args.scale
     )
@@ -102,7 +100,7 @@ def _cmd_test(args) -> int:
         return 0
 
     if args.method == "gaue":
-        if args.delta_grid or args.delta is None:
+        if args.delta is None:
             results = gaue_grid(parents, children, T, cfg.alpha)
         else:
             results = [gaue_test(parents, children, T, args.delta, cfg.alpha)]
@@ -124,7 +122,7 @@ def _cmd_test(args) -> int:
             print(f"{ix.j},{ix.k},{b:.10g},{t:.10g}")
         return 0
 
-    outcome = run_multiple_test(parents, children, cfg, seed=_seed(args))
+    outcome = run_multiple_test(parents, children, cfg, seed=seed)
     print(f"decision: {'reject' if outcome.reject else 'accept'}")
     print(f"u_alpha: {outcome.u_alpha:.6g}")
     if outcome.no_information:

@@ -105,7 +105,7 @@ def _pair_sums(parent_times: np.ndarray, samples: np.ndarray, idx: IndexSet):
     result is exact up to the single final scaling, matching naive summation.
     """
     pos = _slot_positions(idx.j0)
-    signs = np.stack([haar_sign(ix, pos) for ix in idx.indices]).T
+    signs = haar_sign(idx.js, idx.ks, pos[:, None])
     amplitude = haar_amplitude(idx.js)
     n_rows, m = samples.shape
     step = max(1, _BLOCK_SIZE // max(m, pos.size))

@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ValueError("R must be >= 1")
         if self.T <= 0:
             raise ValueError("T must be > 0")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.test_config  # TestConfig validates alpha, B, j0, side and scale

@@ -53,10 +53,6 @@ class WaveletIndex:
         w = 2.0 ** (-self.j)
         return (self.k * w, (self.k + 1) * w)
 
-    def in_family(self) -> bool:
-        """Whether k lies in the two-sided translation range of resolution j."""
-        return self.k in IndexSet(self.j).k_range(self.j)
-
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -98,7 +94,11 @@ class IndexSet:
         return len(self.indices)
 
     def position(self, index: WaveletIndex) -> int:
-        return self.indices.index(index)
+        """Column of index in this family; ValueError if it is not a member."""
+        try:
+            return self.indices.index(index)
+        except ValueError:
+            raise ValueError(f"{index} lies outside {self}") from None
 
 
 def haar_amplitude(j):
@@ -106,18 +106,18 @@ def haar_amplitude(j):
     return 2.0 ** (0.5 * np.asarray(j, dtype=np.float64))
 
 
-def haar_sign(index: WaveletIndex, x) -> np.ndarray:
-    """Sign of phi_(j,k) at x: -1 on [k2^-j; mid], +1 on (mid; (k+1)2^-j], else 0.
+def haar_sign(j, k, x) -> np.ndarray:
+    """Sign of phi_(j,k) at x, broadcasting over j, k and x.
 
-    x is compared against the exact dyadic boundaries rather than through
-    y = 2^j x - k, whose rounding would misclassify points within one ulp of
-    a boundary (e.g. a tiny positive x against the support ending at 0).
+    -1 on [k2^-j; mid], +1 on (mid; (k+1)2^-j], else 0, decided on the exact
+    dyadic boundaries: y = 2^j x - k would misclassify points within one ulp
+    of a boundary (e.g. a tiny positive x against the support ending at 0).
     """
-    j, k = index.j, index.k
+    k = np.asarray(k, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    lo = np.ldexp(float(k), -j)
-    mid = np.ldexp(float(2 * k + 1), -(j + 1))
-    hi = np.ldexp(float(k + 1), -j)
+    lo = np.ldexp(k, -j)
+    mid = np.ldexp(2.0 * k + 1.0, -(j + 1))
+    hi = np.ldexp(k + 1.0, -j)
     neg = (x >= lo) & (x <= mid)
     pos = (x > mid) & (x <= hi)
     return pos.astype(np.float64) - neg.astype(np.float64)
@@ -130,7 +130,7 @@ def haar_eval(index: WaveletIndex, x):
     endpoint included), -2^(j/2) on the left half (both endpoints included),
     0 elsewhere.
     """
-    out = haar_amplitude(index.j) * haar_sign(index, x)
+    out = haar_amplitude(index.j) * haar_sign(index.j, index.k, x)
     return float(out) if np.isscalar(x) else out
 
 

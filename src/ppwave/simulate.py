@@ -9,6 +9,7 @@ is needed.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,12 @@ def as_generator(seed) -> np.random.Generator:
     """The one seed rule: an int, a SeedSequence or a Generator gives a Generator.
 
     Anything else, None included, raises TypeError, so no call falls back to
-    OS entropy.
+    OS entropy. A SeedSequence is copied, so one object passed twice gives equal draws.
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, np.random.SeedSequence):
+        seed = copy.copy(seed)
     if isinstance(seed, (int, np.integer, np.random.SeedSequence)):
         return np.random.default_rng(seed)
     raise TypeError(f"cannot build a generator from {type(seed).__name__}")
@@ -141,12 +144,13 @@ def sim_child_process(parents: EventTrain, model: InteractionModel, seed) -> Eve
 def make_dataset(dataset: DatasetId, T: float, seed) -> tuple[EventTrain, EventTrain]:
     """Simulate one (parents, children) pair for a benchmark dataset.
 
-    Parents are homogeneous Poisson(50) on [0; T]; children follow the
-    dataset's (theta, nu) with orphan rate 20 on [-1; T+1]. Both trains are in
-    original (unscaled) time. The two trains draw from the two children of
-    the seed's SeedSequence (Generator.spawn).
+    Parents are homogeneous Poisson(mu_p) on [0; T]; children follow the
+    dataset's (theta, nu) with orphan rate mu_c on [-1; T+1]; dataset.model(T)
+    owns the rates. Both trains are in original (unscaled) time and draw from
+    the two children of the seed's SeedSequence (Generator.spawn).
     """
+    model = dataset.model(T)
     parent_rng, child_rng = as_generator(seed).spawn(2)
-    parents = sim_homogeneous_poisson(PARENT_RATE, Window(0.0, T), parent_rng)
-    children = sim_child_process(parents, dataset.model(T), seed=child_rng)
+    parents = sim_homogeneous_poisson(model.mu_p, Window(0.0, model.T), parent_rng)
+    children = sim_child_process(parents, model, seed=child_rng)
     return parents, children

@@ -389,32 +389,42 @@ def test_outcome_positions():
         quick_config(),
         seed=np.random.SeedSequence(47, spawn_key=(0,)),
     )
-    idx = out.index_set
-    pos = out.positions_scaled
-    rng_ = out.ranges_scaled
-    for i, ix in enumerate(idx.indices):
-        assert pos[i] == ix.k * 2.0**-ix.j
-        assert rng_[i] == 2.0**-ix.j
-    assert np.allclose(out.positions_original, pos / 50.0)
-    if out.reject:
-        assert out.rejected_positions() == [
-            (p / 50.0, r / 50.0)
-            for p, r, s in zip(pos, rng_, out.single_reject)
-            if s
-        ]
+    # position k 2^-j and range 2^-j in original time, in the CLI's order of
+    # operations, so the printed table is bit for bit these values
+    for i, ix in enumerate(out.index_set.indices):
+        assert out.positions_original[i] == ix.k * 2.0**-ix.j / 50.0
+        assert out.ranges_original[i] == 2.0**-ix.j / 50.0
+
+
+def assert_no_information(out, cfg, n_parents):
+    size = cfg.index_set.size
+    assert out.no_information and out.reject is False
+    assert out.u_alpha == cfg.alpha and out.index_set == cfg.index_set
+    assert np.array_equal(out.beta_hat, np.zeros(size))
+    assert np.array_equal(out.t_stat, np.zeros(size))
+    assert out.thresholds.shape == (size,) and np.isnan(out.thresholds).all()
+    assert out.single_reject.dtype == bool
+    assert np.array_equal(out.single_reject, np.zeros(size, dtype=bool))
+    assert out.n_parents == n_parents and out.m_children == 0
+    assert out.scale == cfg.scale
 
 
 def test_no_information_outcomes():
+    cfg = quick_config(alpha=0.1, side=pw.NONNEG)
     empty = train([], 0.0, 2.0)
     some = train([0.5], -1.0, 3.0)
     out = pw.run_multiple_test(
-        empty, some, quick_config(), seed=np.random.SeedSequence(1, spawn_key=(0,))
+        empty, some, cfg, seed=np.random.SeedSequence(1, spawn_key=(0,))
     )
-    assert not out.reject and out.no_information
+    assert_no_information(out, cfg, n_parents=0)
 
-    parents = train([0.5], 0.0, 2.0)
-    out2 = pw.run_multiple_test(parents, train([], -1.0, 3.0), quick_config(), seed=1)
-    assert not out2.reject and out2.no_information
+    parents = train([0.5, 1.5], 0.0, 2.0)
+    out2 = pw.run_multiple_test(parents, train([], -1.0, 3.0), cfg, seed=1)
+    assert_no_information(out2, cfg, n_parents=2)
+
+    # children only outside the scaled analysis window: none is kept
+    out3 = pw.run_multiple_test(parents, train([-0.9, 2.9], -1.0, 3.0), cfg, seed=1)
+    assert_no_information(out3, cfg, n_parents=2)
 
 
 def test_support_disjoint_children_never_reject():
@@ -491,6 +501,16 @@ def test_single_test_matches_shared_null_path(name, data_seed, j, k_pos, seed):
         nulls = pw.simulate_null_stats(sp, m, idx, cfg.B, window, seed)
         expected = stat > pw.empirical_quantile(np.sort(nulls.stats[:, p]), cfg.alpha)
     assert pw.run_single_test(ix, parents, children, cfg, seed=seed) == expected
+
+
+def test_single_test_rejects_an_index_outside_the_family():
+    # raised before any work, so also when there is no information
+    parents, children = train([0.5], 0.0, 2.0), train([0.6], -1.0, 3.0)
+    for ix in (pw.WaveletIndex(2, 4), pw.WaveletIndex(0, -2)):
+        for p in (parents, train([], 0.0, 2.0)):
+            with pytest.raises(ValueError) as err:
+                pw.run_single_test(ix, p, children, quick_config(B=20), seed=1)
+            assert str(err.value) == f"{ix!r} lies outside {pw.IndexSet(ix.j)!r}"
 
 
 def test_single_test_degenerate_B2_no_crash():

@@ -113,7 +113,6 @@ def test_ks_and_gaue_methods(tmp_path, capsys):
         "test",
         "--method",
         "gaue",
-        "--delta-grid",
         "--parents",
         pfile,
         "--children",
@@ -166,8 +165,13 @@ INVALID_INVOCATIONS = {
     "level-workers": ("level --R 1 --workers -3", "workers must be >= 1"),
     "simulate-seed": (
         "simulate --dataset Data_0 --seed -1 --out-parents {p} --out-children {c}",
-        "non-negative integer",
+        "--seed must be >= 0, got -1",
     ),
+    "test-seed": (
+        "test --parents {p} --children {c} --seed -1",
+        "--seed must be >= 0, got -1",
+    ),
+    "level-seed": ("level --R 1 --seed -1", "master_seed must be >= 0, got -1"),
     "level-no-null": ("level --R 1 --datasets Data_80", "must include Data_0"),
     "config-key": ("level --config {bogus}", "unknown config keys ['bogus', 'extra']"),
     "config-not-object": ("level --config {scalar}", "config must be a JSON object"),

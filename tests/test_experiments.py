@@ -40,6 +40,7 @@ def test_config_validation():
         dict(side="bogus"),
         dict(workers=0),
         dict(workers=-3),
+        dict(master_seed=-1),
     ):
         with pytest.raises(ValueError):
             tiny_config(**bad)

@@ -100,7 +100,10 @@ def test_index_set_cardinalities():
         assert pw.IndexSet(j0).size == 2 ** (j0 + 2) - 2
         assert pw.IndexSet(j0, pw.NONNEG).size == 2 ** (j0 + 1) - 1
     ids = pw.IndexSet(3)
-    assert all(ix.in_family() for ix in ids.indices)
+    assert [ids.position(ix) for ix in ids.indices] == list(range(ids.size))
+    for outside in (wix(3, 8), wix(3, -9), wix(4, 0)):
+        with pytest.raises(ValueError, match=r"lies outside IndexSet\(j0=3"):
+            ids.position(outside)
     assert pw.IndexSet(3, pw.NONNEG).size == 15  # the 15 single tests
     with pytest.raises(ValueError):
         pw.IndexSet(3, "sideways")

@@ -37,6 +37,16 @@ def test_fixed_seed_reproduces():
     assert not np.array_equal(pa.times, pc.times)
 
 
+def test_one_seed_sequence_passed_twice_gives_equal_draws():
+    # spawning the two trains' streams must not advance the caller's object
+    seq = np.random.SeedSequence(5, spawn_key=(2,))
+    first = pw.make_dataset(pw.DatasetId("Data_30r"), 2.0, seq)
+    second = pw.make_dataset(pw.DatasetId("Data_30r"), 2.0, seq)
+    assert seq.n_children_spawned == 0
+    for a, b in zip(first, second):
+        assert np.array_equal(a.times, b.times)
+
+
 def test_poisson_mean_monte_carlo():
     # rate 50 on [0; 2]: mean count over 10^4 seeds within 3 SE of 100
     counts = [
