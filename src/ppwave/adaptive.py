@@ -2,7 +2,9 @@
 
 The null reference is built conditionally on the observed parents and the
 observed child count m: B independent m-samples of uniforms on the analysis
-window produce null statistics per index. One half of the rows estimates the
+window produce null statistics per index. The estimator kernel draws them
+block by block, so beyond the (B, |idx|) statistics the null needs memory
+for one row block only, whatever B and m. One half of the rows estimates the
 conditional quantiles; the levels of u from which the other half's rows
 reject fix the aggregation level u_alpha. The data are rescaled (default
 x50) before testing so the kernel support sits strictly inside (-1; 1).
@@ -16,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import coefficient_matrix, estimate_coefficients
+from .coefficients import estimate_coefficients, null_coefficient_matrix
 from .haar import TWO_SIDED, IndexSet, WaveletIndex
 from .process import EventTrain, Window, scale_clip
 from .simulate import as_generator
@@ -116,14 +118,16 @@ def simulate_null_stats(
     """Null statistics from B uniform m-samples on the analysis window.
 
     Each row b holds |beta_hat| computed from (parents, V^b) where V^b is an
-    m-sample of uniforms on obs; m = 0 degenerates to all-zero rows.
+    m-sample of uniforms on obs; m = 0 degenerates to all-zero rows. The rows
+    are those of one (B, m) draw as_generator(seed).uniform(obs.lo, obs.hi),
+    drawn one row block at a time.
     """
     if B < 2 or B % 2:
         raise ValueError("B must be an even integer >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    draws = as_generator(seed).uniform(obs.lo, obs.hi, size=(B, m))
-    return NullStatMatrix(np.abs(coefficient_matrix(parents, draws, idx)), idx)
+    stats = null_coefficient_matrix(parents, m, idx, B, obs, as_generator(seed))
+    return NullStatMatrix(np.abs(stats, out=stats), idx)
 
 
 def empirical_quantile(column, p: float) -> float:
@@ -291,10 +295,10 @@ def run_single_test(
 ) -> bool:
     """Single-index test: reject iff the statistic exceeds its alpha-quantile.
 
-    The quantile is taken over all B null rows (no half split is needed
-    without aggregation).
+    index must lie in config.index_set. The quantile is taken over all B null
+    rows (no half split is needed without aggregation).
     """
-    idx = IndexSet(index.j)
+    idx = config.index_set
     p = idx.position(index)  # raises for an index outside the family
     inputs = _informative_inputs(parents, children, config.scale)
     if inputs is None:

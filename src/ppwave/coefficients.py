@@ -8,13 +8,16 @@ matrix of child samples against one parent set. For each index,
 
 where S is the raw pair sum over child-parent differences (closed form, no
 extra Monte-Carlo noise). The observed train is the one-row case
-(estimate_coefficients, pair_cascade) and the conditional null is the B-row
-case. Both walk the rows in fixed-size blocks, in any order within a row:
-per block, the pairs come from process.pair_differences (a table lookup
-over the fixed parents), their integer dyadic-slot counts give S through
-each wavelet's signs, and the correction takes one bincount over every
-level's (row, j, k) bins. The wavelet family and its closed forms come from
-haar.py.
+(estimate_coefficients, pair_cascade), coefficient_matrix takes the rows of
+a given matrix, and the conditional null (null_coefficient_matrix) B rows
+of uniforms, drawn block by block: each row block is drawn from the one
+generator just before it is used, so the (B, m) draws are never held. One
+loop walks the rows in fixed-size blocks, in any order within a row. The
+parents' cell table (process.PairTable) and the block buffers are built
+once per call; per block, the table's lookup gives the pairs, their integer
+dyadic-slot counts give S through each wavelet's signs, and the correction
+takes one bincount over every level's (row, j, k) bins. The wavelet family
+and its closed forms come from haar.py.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .haar import IndexSet, haar_amplitude, haar_sign, haar_tent
-from .process import EventTrain, pair_differences, parent_horizon
+from .process import EventTrain, PairTable, Window, parent_horizon
 
 __all__ = [
     "NoParentsError",
@@ -60,25 +63,30 @@ def _slot_positions(j0: int) -> np.ndarray:
     return np.ldexp(0.5 * s - half, -(j0 + 1))
 
 
-def _pair_slot_counts(
-    parent_times: np.ndarray, samples: np.ndarray, j0: int
-) -> np.ndarray:
+def _slot_signs(idx: IndexSet) -> np.ndarray:
+    """(slots, idx.size) signs -1/0/+1 of each wavelet at the slot positions."""
+    return haar_sign(idx.js, idx.ks, _slot_positions(idx.j0)[:, None])
+
+
+def _pair_slot_counts(table: PairTable, samples: np.ndarray, j0: int) -> np.ndarray:
     """Histogram of pair differences sample - parent over the dyadic slots.
 
-    samples is (rows, m), in any order within a row; only pairs with
-    |difference| <= 1 contribute. Returns a (rows, n_slots) integer matrix.
+    table is the parents' cell table at reach 1, samples is (rows, m), in any
+    order within a row; only pairs with |difference| <= 1 contribute.
+    Returns a (rows, n_slots) integer matrix.
     """
     n_rows, m = samples.shape
     n_slots = 2 ** (j0 + 3) + 1
-    diffs, owner = pair_differences(parent_times, samples.ravel(), 1.0)
+    diffs, owner = table.differences(samples.ravel())
     # With s = d 2^(j0+1) (exact), floor(s) + ceil(s) is 2s on a grid point
     # and 2 floor(s) + 1 between two, so it numbers the slots of |d| <= 1 from
     # -2^(j0+2) to 2^(j0+2). Farther pairs are clipped into one trash column
     # at either end of their row, dropped after the bincount. Slots and keys
-    # overwrite diffs and owner, so at most three pair-length arrays are live.
+    # overwrite diffs and owner, and floor takes the table's free gather
+    # buffer, so no pair-length array is allocated.
     edge = 2 ** (j0 + 2) + 1
     s = np.ldexp(diffs, j0 + 1, out=diffs)
-    floor = np.floor(s)
+    floor = np.floor(s, out=table.scratch("gather", s.size, np.float64))
     slot = np.ceil(s, out=s)
     slot += floor
     np.clip(slot, -edge, edge, out=slot)
@@ -96,23 +104,17 @@ def _pair_slot_counts(
 _BLOCK_SIZE = 2**15
 
 
-def _pair_sums(parent_times: np.ndarray, samples: np.ndarray, idx: IndexSet):
-    """Raw pair sums by row block: yields (rows, sums).
+def _pair_sums(
+    table: PairTable, samples: np.ndarray, idx: IndexSet, signs: np.ndarray
+) -> np.ndarray:
+    """(rows, idx.size) raw pair sums of a block of sample rows.
 
-    rows is the block's slice of the sample rows and sums its (block rows,
-    idx.size) matrix of pair sums. A sum is an integer net slot count times
-    2^(j/2): the matmul accumulates integers only (signs are -1/0/+1), so the
-    result is exact up to the single final scaling, matching naive summation.
+    A sum is an integer net slot count times 2^(j/2): the matmul accumulates
+    integers only (signs are -1/0/+1), so the result is exact up to the
+    single final scaling, matching naive summation.
     """
-    pos = _slot_positions(idx.j0)
-    signs = haar_sign(idx.js, idx.ks, pos[:, None])
-    amplitude = haar_amplitude(idx.js)
-    n_rows, m = samples.shape
-    step = max(1, _BLOCK_SIZE // max(m, pos.size))
-    for start in range(0, n_rows, step):
-        rows = slice(start, start + step)
-        counts = _pair_slot_counts(parent_times, samples[rows], idx.j0)
-        yield rows, (counts.astype(np.float64) @ signs) * amplitude
+    counts = _pair_slot_counts(table, samples, idx.j0)
+    return (counts.astype(np.float64) @ signs) * haar_amplitude(idx.js)
 
 
 def _shift_mean_sums(block: np.ndarray, T: float, idx: IndexSet) -> np.ndarray:
@@ -144,6 +146,29 @@ def _shift_mean_sums(block: np.ndarray, T: float, idx: IndexSet) -> np.ndarray:
     return sums.reshape(n_rows, width)[:, 3 * 2**idx.js - 2 + idx.ks]
 
 
+def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):
+    """(n_rows, idx.size) estimates of n_rows samples of m child times each.
+
+    block(rows) returns the (block rows, m) samples of the row slice rows; it
+    is called once per slice, in row order, just before the slice is used.
+    """
+    n = parents.count()
+    if n == 0:
+        raise NoParentsError("coefficient estimates require at least one parent")
+    T = parent_horizon(parents)
+    table = PairTable(parents.times, 1.0)
+    signs = _slot_signs(idx)
+    step = max(1, _BLOCK_SIZE // max(m, signs.shape[0]))
+    out = np.empty((n_rows, idx.size))
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
+        samples = block(rows)
+        sums = _pair_sums(table, samples, idx, signs)
+        correction = _shift_mean_sums(samples, T, idx)
+        out[rows] = (sums - (n - 1) * correction) / n
+    return out
+
+
 def coefficient_matrix(
     parents: EventTrain, samples: np.ndarray, idx: IndexSet
 ) -> np.ndarray:
@@ -160,20 +185,42 @@ def coefficient_matrix(
     ValueError
         If samples is not a matrix or holds NaN or an infinity.
     """
-    n = parents.count()
-    if n == 0:
-        raise NoParentsError("coefficient estimates require at least one parent")
-    T = parent_horizon(parents)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError("samples must be a (rows, m) matrix")
-    if not np.isfinite(samples).all():
-        raise ValueError("samples must be finite")
-    out = np.empty((samples.shape[0], idx.size))
-    for rows, sums in _pair_sums(parents.times, samples, idx):
-        correction = _shift_mean_sums(samples[rows], T, idx)
-        out[rows] = (sums - (n - 1) * correction) / n
-    return out
+
+    def block(rows):
+        if not np.isfinite(samples[rows]).all():
+            raise ValueError("samples must be finite")
+        return samples[rows]
+
+    return _estimates(parents, idx, *samples.shape, block)
+
+
+def null_coefficient_matrix(
+    parents: EventTrain, m: int, idx: IndexSet, n_rows: int, window: Window, gen
+) -> np.ndarray:
+    """coefficient_matrix of n_rows uniform m-samples on window, drawn by block.
+
+    Equals coefficient_matrix(parents, gen.uniform(window.lo, window.hi,
+    (n_rows, m)), idx) bit for bit without holding the (n_rows, m) draws:
+    each row block is drawn from gen, in row order, into one buffer just
+    before the kernel uses it.
+    """
+    buffer = None
+
+    def block(rows):
+        nonlocal buffer
+        shape = (rows.stop - rows.start, m)
+        if buffer is None:  # the first block is the largest
+            buffer = np.empty(shape)
+        draws = buffer[: shape[0]]
+        gen.random(out=draws)
+        draws *= window.hi - window.lo
+        draws += window.lo
+        return draws
+
+    return _estimates(parents, idx, n_rows, m, block)
 
 
 def estimate_coefficients(
@@ -210,5 +257,5 @@ def pair_cascade(
     cost is O(pairs in range + slots * |indices|) instead of the naive
     O(n * m * |indices|).
     """
-    ((_, sums),) = _pair_sums(parents.times, children.times[None, :], idx)  # one block
-    return sums[0]
+    table = PairTable(parents.times, 1.0)
+    return _pair_sums(table, children.times[None, :], idx, _slot_signs(idx))[0]

@@ -158,48 +158,116 @@ def scale_clip(
 _PAIR_MARGIN = 1e-9
 
 
+class PairTable:
+    """Cell table of sorted anchors for repeated searches of pairs within reach.
+
+    Building the table costs O(anchors); each lookup (differences) then costs
+    O(values + pairs), so a caller that pairs many value sets with one anchor
+    set builds it once. A lookup writes into arrays the table keeps
+    (scratch), which it reuses rather than allocating pair-length arrays per
+    lookup, so what a lookup returns is valid until the next one.
+    """
+
+    def __init__(self, anchors: np.ndarray, reach: float):
+        # Cells [c w; (c+1) w) of power-of-two width w about reach/16 (wider
+        # if the anchors' span needs more than O(anchors) cells) each hold the
+        # anchors within reach + margin: values of cell c pair with anchors
+        # first[c] .. first[c] + count[c] - 1. Values beyond every anchor's
+        # reach, infinities and NaN (through fmax) are clipped into the empty
+        # sentinel cells at either end.
+        self.anchors = anchors = np.asarray(anchors, dtype=np.float64)
+        self._arrays: dict[str, np.ndarray] = {}
+        self._positions = np.arange(0)  # 0, 1, 2, ... kept across lookups
+        if anchors.size == 0:
+            return
+        far = reach + _PAIR_MARGIN
+        span = anchors[-1] - anchors[0] + 2.0 * far
+        cells = 16 * anchors.size + 1024
+        self._exp = max(math.frexp(reach)[1] - 5, math.frexp(span / cells)[1])
+        self._c_lo = math.floor(math.ldexp(anchors[0] - far, -self._exp)) - 1
+        self._c_hi = math.floor(math.ldexp(anchors[-1] + far, -self._exp)) + 1
+        edges = np.arange(self._c_lo, self._c_hi + 2, dtype=np.float64)
+        edges = np.ldexp(edges, self._exp)
+        self._first = np.searchsorted(anchors, edges[:-1] - far, side="left")
+        last = np.searchsorted(anchors, edges[1:] + far, side="right")
+        self._count = last - self._first
+        self._count[[0, -1]] = 0
+
+    def scratch(self, name: str, size: int, dtype=np.intp) -> np.ndarray:
+        """size entries of dtype in the kept buffer name, overwritten freely.
+
+        A buffer is made, or replaced when too small, with an eighth more
+        room than asked, so lookups of similar sizes share it, and it may be
+        taken as any dtype. A lookup uses the buffers scaled, cell, count,
+        shift, owner, anchor and gather; once it has returned, only owner and
+        anchor hold its result, so a caller may reuse the others.
+        """
+        itemsize = np.dtype(dtype).itemsize
+        raw = self._arrays.get(name)
+        if raw is None or raw.size < size * itemsize:
+            raw = self._arrays[name] = np.empty((size + size // 8) * itemsize, np.uint8)
+        return raw[: size * itemsize].view(dtype)
+
+    def differences(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Differences value - anchor of the candidate pairs within reach.
+
+        values may come in any order. Returns (diffs, owner): pair p is
+        values[owner[p]] - anchor, owner is nondecreasing, and each value's
+        candidates take its anchors in ascending order. The candidates include
+        every pair with |difference| <= reach and may include pairs beyond it,
+        so callers filter diffs on their exact condition. Per-value data of
+        the pairs is data[owner]. Both arrays are scratch of the table.
+        """
+        if self.anchors.size == 0 or values.size == 0:
+            return np.empty(0), np.empty(0, dtype=np.intp)
+        n_values = values.size
+        scaled = self.scratch("scaled", n_values, np.float64)
+        np.ldexp(values, -self._exp, out=scaled)
+        np.floor(scaled, out=scaled)
+        np.fmax(scaled, self._c_lo, out=scaled)
+        np.fmin(scaled, self._c_hi, out=scaled)
+        cell = self.scratch("cell", n_values)
+        np.copyto(cell, scaled, casting="unsafe")
+        cell -= self._c_lo
+        # take's default mode copies its out array first; clip does not, and
+        # every index is in range.
+        cnt = self.scratch("count", n_values)
+        np.take(self._count, cell, out=cnt, mode="clip")
+        shift = self.scratch("shift", n_values)
+        np.take(self._first, cell, out=shift, mode="clip")
+        ends = np.cumsum(cnt, out=cell)  # value i's pairs end before ends[i]
+        n_pairs = int(ends[-1])
+        # owner[p] is the number of values whose pairs end at or before p.
+        owner = self.scratch("owner", n_pairs + 1)
+        owner.fill(0)
+        np.add.at(owner, ends[:-1], 1)
+        owner = np.cumsum(owner[:-1], out=owner[:-1])
+        # Pair p of value i takes anchor first[cell[i]] + (p - start[i]),
+        # start[i] = ends[i] - cnt[i] being the position of its first pair.
+        shift += cnt
+        shift -= ends
+        anchor = self.scratch("anchor", n_pairs)
+        np.take(shift, owner, out=anchor, mode="clip")
+        if self._positions.size < n_pairs:
+            self._positions = np.arange(n_pairs + n_pairs // 8)
+        anchor += self._positions[:n_pairs]
+        gather = self.scratch("gather", n_pairs, np.float64)
+        np.take(self.anchors, anchor, out=gather, mode="clip")
+        diffs = anchor.view(np.float64)  # the anchor indices are used up
+        np.take(values, owner, out=diffs, mode="clip")
+        diffs -= gather
+        return diffs, owner
+
+
 def pair_differences(
     anchors: np.ndarray, values: np.ndarray, reach: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Differences value - anchor of the candidate pairs within reach.
 
-    anchors must be sorted ascending; values may come in any order. Returns
-    (diffs, owner): pair p is values[owner[p]] - anchor, owner is
-    nondecreasing, and each value's candidates take its anchors in ascending
-    order. The candidates include every pair with |difference| <= reach and
-    may include pairs beyond it, so callers filter diffs on their exact
-    condition. Per-value data of the pairs is data[owner].
+    anchors must be sorted ascending: see PairTable.differences, of which
+    this is the one-lookup case.
     """
-    if anchors.size == 0 or values.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.intp)
-    # A table over cells [c w; (c+1) w) of power-of-two width w about reach/16
-    # (wider if the anchors' span needs more than O(anchors) cells) holds the
-    # anchors within reach + margin of each cell: values of cell c pair with
-    # anchors first[c] .. first[c] + count[c] - 1. Values beyond every
-    # anchor's reach, infinities and NaN (through fmax) are clipped into the
-    # empty sentinel cells at either end.
-    far = reach + _PAIR_MARGIN
-    span = anchors[-1] - anchors[0] + 2.0 * far
-    cells = 16 * anchors.size + 1024
-    exp = max(math.frexp(reach)[1] - 5, math.frexp(span / cells)[1])
-    c_lo = math.floor(math.ldexp(anchors[0] - far, -exp)) - 1
-    c_hi = math.floor(math.ldexp(anchors[-1] + far, -exp)) + 1
-    edges = np.ldexp(np.arange(c_lo, c_hi + 2, dtype=np.float64), exp)
-    first = np.searchsorted(anchors, edges[:-1] - far, side="left")
-    count = np.searchsorted(anchors, edges[1:] + far, side="right") - first
-    count[[0, -1]] = 0
-    cell = np.fmin(np.fmax(np.floor(np.ldexp(values, -exp)), c_lo), c_hi)
-    cell = cell.astype(np.intp) - c_lo
-    cnt = count[cell]
-    owner = np.repeat(np.arange(values.size), cnt)
-    # Pair p of value i takes anchor first[cell[i]] + (p - start[i]), start[i]
-    # being the position of value i's first pair.
-    shift = first[cell] - (np.cumsum(cnt) - cnt)
-    anchor = shift[owner]
-    anchor += np.arange(owner.size)
-    diffs = values[owner]
-    diffs -= anchors[anchor]
-    return diffs, owner
+    return PairTable(anchors, reach).differences(values)
 
 
 def write_events(train: EventTrain, path) -> None:

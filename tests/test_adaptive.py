@@ -506,11 +506,28 @@ def test_single_test_matches_shared_null_path(name, data_seed, j, k_pos, seed):
 def test_single_test_rejects_an_index_outside_the_family():
     # raised before any work, so also when there is no information
     parents, children = train([0.5], 0.0, 2.0), train([0.6], -1.0, 3.0)
+    cfg = quick_config(B=20)
     for ix in (pw.WaveletIndex(2, 4), pw.WaveletIndex(0, -2)):
         for p in (parents, train([], 0.0, 2.0)):
             with pytest.raises(ValueError) as err:
-                pw.run_single_test(ix, p, children, quick_config(B=20), seed=1)
-            assert str(err.value) == f"{ix!r} lies outside {pw.IndexSet(ix.j)!r}"
+                pw.run_single_test(ix, p, children, cfg, seed=1)
+            assert str(err.value) == f"{ix!r} lies outside {cfg.index_set!r}"
+
+
+def test_single_test_family_is_the_configured_one():
+    # (1, -1) is two-sided only and (3, 2) lies above j0 = 1: both raise
+    # under such configs, on data that would be tested, and pass under the
+    # default family
+    parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 1.0, 3)
+    cases = (
+        (pw.WaveletIndex(1, -1), quick_config(B=200, side=pw.NONNEG, j0=1)),
+        (pw.WaveletIndex(3, 2), quick_config(B=200, j0=1)),
+    )
+    for ix, cfg in cases:
+        with pytest.raises(ValueError) as err:
+            pw.run_single_test(ix, parents, children, cfg, seed=3)
+        assert str(err.value) == f"{ix!r} lies outside {cfg.index_set!r}"
+        pw.run_single_test(ix, parents, children, quick_config(B=200), seed=3)
 
 
 def test_single_test_degenerate_B2_no_crash():

@@ -250,21 +250,71 @@ def test_multi_row_blocks_equal_one_row_calls(j0):
 @pytest.mark.parametrize("j0", [3, 6])
 def test_kernel_memory_flat_in_rows(j0):
     # beyond its (rows, |idx|) output, the kernel's traced memory is bounded
-    # by its row block, not by the number of rows
-    parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 2.0, 7)
-    sp, observed, window = pw.scale_clip(parents, children, 50.0)
+    # by its row block, not by the number of rows; the null kernel draws each
+    # block just before using it, so its memory beyond the (B, |idx|)
+    # statistics does not grow with m either (at T=10, m=595, the (B, m)
+    # draws alone would be 95 MB)
     idx = pw.IndexSet(j0)
-    for B in (2000, 20000):
-        draws = np.random.default_rng(B).uniform(
-            window.lo, window.hi, size=(B, observed.count())
-        )
+
+    def traced_peak(call):
         tracemalloc.start()
         try:
-            out = pw.coefficient_matrix(sp, draws, idx)
+            out = call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes < 16 * 2**20
+        return peak - getattr(out, "stats", out).nbytes
+
+    for T in (2.0, 10.0):
+        parents, children = pw.make_dataset(pw.DatasetId("Data_80"), T, 7)
+        sp, observed, window = pw.scale_clip(parents, children, 50.0)
+        m = observed.count()
+        for B in (2000, 20000):
+            null = traced_peak(lambda: pw.simulate_null_stats(sp, m, idx, B, window, B))
+            assert null < 16 * 2**20
+            if T == 2.0:
+                draws = np.random.default_rng(B).uniform(window.lo, window.hi, (B, m))
+                beyond = traced_peak(lambda: pw.coefficient_matrix(sp, draws, idx))
+                assert beyond < 16 * 2**20
+
+
+@given(
+    st.sampled_from([0, 1, 2, 7, 40]),
+    st.integers(1, 30),
+    st.integers(0, 3),
+    st.sampled_from([pw.TWO_SIDED, pw.NONNEG]),
+    st.sampled_from([1, 16, 100, 300, 2**15]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_null_stats_are_the_uniform_matrix_statistics(m, half, j0, side, block, seed):
+    # the null kernel draws block by block, in row order, into one buffer;
+    # its statistics are the bits of one (B, m) uniform draw through
+    # coefficient_matrix, for m = 0 and 1, for row counts that are not a
+    # multiple of the block's rows, and for blocks of one to many rows
+    parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 1.0, seed % 97)
+    sp, _, window = pw.scale_clip(parents, children, 50.0)
+    assume(sp.count() > 0)
+    idx = pw.IndexSet(j0, side)
+    B = 2 * half
+    with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
+        nulls = pw.simulate_null_stats(sp, m, idx, B, window, seed)
+    draws = pw.as_generator(seed).uniform(window.lo, window.hi, (B, m))
+    expected = np.abs(pw.coefficient_matrix(sp, draws, idx))
+    assert nulls.stats.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("j0", [3, 6])
+def test_null_stats_match_the_uniform_matrix_at_the_default_block(j0):
+    # B = 2000 is not a multiple of the 275 (j0=3) or 63 (j0=6) rows of a
+    # default block at m = 119
+    parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 2.0, 7)
+    sp, observed, window = pw.scale_clip(parents, children, 50.0)
+    m, idx = observed.count(), pw.IndexSet(j0)
+    nulls = pw.simulate_null_stats(sp, m, idx, 2000, window, 5)
+    draws = pw.as_generator(5).uniform(window.lo, window.hi, (2000, m))
+    expected = np.abs(pw.coefficient_matrix(sp, draws, idx))
+    assert nulls.stats.tobytes() == expected.tobytes()
 
 
 @given(

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 import ppwave as pw
 from ppwave.coefficients import _pair_slot_counts, _slot_positions
+from ppwave.process import PairTable
 
 SQRT2 = math.sqrt(2.0)
 
@@ -177,6 +178,7 @@ def test_slot_machinery_covers_unit_interval():
     pos = _slot_positions(3)
     assert pos[0] == -1.0 and pos[-1] == 1.0
     assert len(pos) == 2 ** (3 + 3) + 1
-    counts = _pair_slot_counts(np.array([0.0]), np.array([[-1.0, 1.0, 0.5]]), 3)
+    table = PairTable(np.array([0.0]), 1.0)
+    counts = _pair_slot_counts(table, np.array([[-1.0, 1.0, 0.5]]), 3)
     assert counts.sum() == 3  # endpoints included, grid hits take even slots
     assert counts[0, 0] == 1 and counts[0, -1] == 1

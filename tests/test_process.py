@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppwave as pw
+from ppwave.process import PairTable
 
 
 def train(times, lo, hi):
@@ -184,6 +185,30 @@ def test_pair_differences_cover_every_pair_within_reach(problem):
         assert runs
         if true.size:
             assert any(s <= true[0] and true[-1] < s + mine.size for s in runs)
+
+
+@given(pair_problems())
+@settings(max_examples=150, deadline=None)
+def test_one_table_serves_many_lookups(problem):
+    # the kernel builds the cell table once per call and looks up each row
+    # block: lookups of growing, shrinking, reversed (strided) and empty value
+    # sets on one table equal one pair_differences call each, bit for bit
+    anchors, values, reach = problem
+    table = PairTable(anchors, reach)
+    lookups = (
+        values,
+        values[: values.size // 2],
+        np.concatenate([values, values, values]),
+        values[::-1],
+        values[:0],
+        values,
+    )
+    for v in lookups:
+        diffs, owner = table.differences(v)
+        expected = pw.pair_differences(anchors, v, reach)
+        assert np.array_equal(diffs, expected[0])
+        assert np.array_equal(owner, expected[1])
+        assert diffs.dtype == np.float64 and owner.dtype == np.intp
 
 
 def test_pair_differences_empty_inputs():
