@@ -8,18 +8,25 @@ lines exactly when these outputs are byte-identical, so
     diff <(PYTHONPATH=<other tree>/src python scripts/digest.py) \\
          <(PYTHONPATH=src python scripts/digest.py)
 
-checks that a change meant to keep results keeps them. Inputs: the nine
-datasets at T in {1, 2} and seeds 0-2, scaled x50, families j0 in {0, 3, 5}
-on both sides, plus raw sample matrices with draws on and one ulp beside the
-dyadic slot boundaries. The calibrate_u_alpha and thresholds lines cover the
-nine datasets (T=2, seed 0, j0=3) at B in {2000, 20000} and alpha in
+checks that a change meant to keep results keeps them. The first line names
+the numpy version, since the draws are numpy's. tests/golden/digest.txt holds
+the committed output, which tests/test_golden.py regenerates; a change that
+moves results on purpose rewrites it with
+
+    PYTHONPATH=src python scripts/digest.py > tests/golden/digest.txt
+
+Inputs: the nine datasets at T in {1, 2} and seeds 0-2, scaled x50, families
+j0 in {0, 3, 5} on both sides, plus raw sample matrices with draws on and one
+ulp beside the dyadic slot boundaries. The calibrate_u_alpha and thresholds
+lines cover the nine datasets (T=2, seed 0) for the two-sided j0=3 and j0=6
+and the nonneg j0=3 families at B in {2, 2000, 20000} and alpha in
 {0.01, 0.05, 0.3}, so that calibration changes show apart from the kernel's.
 The decisions line hashes only reject, single_reject and u_alpha of the
 run_multiple_test outcomes, so a change that moves floats but no decision
 shows apart from one that flips a decision. The make_dataset line draws the
 nine datasets at both horizons from SeedSequence(s, spawn_key=(k,)) seeds,
 the form the CLI and the experiments pass.
-Takes about a minute on two cores.
+Takes about 20 s on two cores.
 """
 
 import hashlib
@@ -35,6 +42,9 @@ FAMILIES = [
     pw.IndexSet(j0, side) for j0 in (0, 3, 5) for side in (pw.TWO_SIDED, pw.NONNEG)
 ]
 SINGLE_INDICES = tuple(pw.WaveletIndex(j, k) for j, k in ((0, 0), (1, -1), (3, 2)))
+# The two-sided ones at B=20000 are also the paper-scale simulate_null_stats.
+CALIBRATION_FAMILIES = (pw.IndexSet(3), pw.IndexSet(6), pw.IndexSet(3, pw.NONNEG))
+CALIBRATION_BS = (2, 2000, 20000)
 CALIBRATION_ALPHAS = (0.01, 0.05, 0.3)
 
 
@@ -68,21 +78,19 @@ def boundary_samples(parents, rows, m, j0, rng):
     return np.where(rng.random((rows, m)) < 0.5, uniform, x)
 
 
-def calibrations(parents, m, window):
-    """(u_alpha, thresholds) of the j0=3 family per B and alpha, null seed 1."""
-    idx = pw.IndexSet(3)
-    w = pw.aggregation_weights(idx)
-    for B in (2000, 20000):
-        nulls = pw.simulate_null_stats(parents, m, idx, B, window, 1)
-        cols = nulls.sorted_quantile_half.T
-        for alpha in CALIBRATION_ALPHAS:
-            u = pw.calibrate_u_alpha(nulls, w, alpha)
-            probs = u * np.exp(-w)
-            thresholds = [pw.empirical_quantile(c, p) for c, p in zip(cols, probs)]
-            yield u, np.array(thresholds)
+def calibrations(nulls):
+    """(u_alpha, thresholds) of one null per alpha."""
+    w = pw.aggregation_weights(nulls.index_set)
+    cols = nulls.sorted_quantile_half.T
+    for alpha in CALIBRATION_ALPHAS:
+        u = pw.calibrate_u_alpha(nulls, w, alpha)
+        probs = u * np.exp(-w)
+        thresholds = [pw.empirical_quantile(c, p) for c, p in zip(cols, probs)]
+        yield u, np.array(thresholds)
 
 
-def main():
+def digest_lines():
+    """The numpy version line, then one 'name count sha256' line per output."""
     out = {
         name: Digest()
         for name in (
@@ -131,13 +139,14 @@ def main():
                 beta = pw.coefficient_matrix(sp, samples, idx)
                 out["coefficient_matrix"].add(beta)
         if seed == 0 and T == 2.0:
-            for j0 in (3, 6):
-                idx = pw.IndexSet(j0)
-                nulls = pw.simulate_null_stats(sp, m, idx, 20000, window, 1)
-                out["simulate_null_stats"].add(nulls.stats)
-            for u, thresholds in calibrations(sp, m, window):
-                out["calibrate_u_alpha"].add(np.array([u]))
-                out["thresholds"].add(thresholds)
+            for idx in CALIBRATION_FAMILIES:
+                for B in CALIBRATION_BS:
+                    nulls = pw.simulate_null_stats(sp, m, idx, B, window, 1)
+                    if B == 20000 and idx.side == pw.TWO_SIDED:
+                        out["simulate_null_stats"].add(nulls.stats)
+                    for u, thresholds in calibrations(nulls):
+                        out["calibrate_u_alpha"].add(np.array([u]))
+                        out["thresholds"].add(thresholds)
         cfg = pw.TestConfig(B=2000)
         o = pw.run_multiple_test(parents, children, cfg, seed=seed)
         out["run_multiple_test"].add(
@@ -164,9 +173,10 @@ def main():
             samples = boundary_samples(parents.times, 50, 30, idx.j0, rng)
             beta = pw.coefficient_matrix(parents, samples, idx)
             out["coefficient_matrix"].add(beta)
-    for name, d in out.items():
-        print(f"{name} {d.count} {d.sha.hexdigest()}")
+    return [f"numpy {np.__version__}"] + [
+        f"{name} {d.count} {d.sha.hexdigest()}" for name, d in out.items()
+    ]
 
 
 if __name__ == "__main__":
-    main()
+    print("\n".join(digest_lines()))

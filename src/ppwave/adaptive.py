@@ -5,8 +5,8 @@ observed child count m: B independent m-samples of uniforms on the analysis
 window produce null statistics per index. The estimator kernel draws them
 block by block, so beyond the (B, |idx|) statistics the null needs memory
 for one row block only, whatever B and m. One half of the rows estimates the
-conditional quantiles; the levels of u from which the other half's rows
-reject fix the aggregation level u_alpha. The data are rescaled (default
+conditional quantiles; the exact levels of u from which the other half's
+values exceed their thresholds fix u_alpha. The data are rescaled (default
 x50) before testing so the kernel support sits strictly inside (-1; 1).
 """
 
@@ -66,8 +66,8 @@ class TestConfig:
             raise ValueError("alpha must lie in (0; 1)")
         if self.B < 2 or self.B % 2:
             raise ValueError("B must be an even integer >= 2")
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
         self.index_set  # IndexSet validates j0 and side
 
     @cached_property
@@ -166,10 +166,11 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
     """Largest u in [alpha; 1] with any-index rejection rate <= alpha, else alpha.
 
     A calibration value with c quantile-half values below it exceeds its
-    threshold _thresholds(quantile half, u * exp(-w)) iff floor(u e^-w n) >=
-    n - c, so each calibration row rejects from a critical level on. The
-    result, the exact supremum that the paper's dichotomy approximates, is
-    the largest float below the level of the first row the rate cannot admit.
+    threshold _thresholds(quantile half, u e^-w) iff n - floor(u e^-w n) <= c,
+    so from its critical level on: the least float u where that holds. A row
+    rejects from its least level. The result, the exact supremum that the
+    paper's dichotomy approximates, is the largest float below the (k+1)-th
+    least row level, where k rows are what a rate <= alpha admits.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0; 1)")
@@ -177,32 +178,32 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
     size = nulls.index_set.size
     if w.shape != (size,):
         raise ValueError(f"weights must have shape ({size},), got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
     sorted_q, calib = nulls.sorted_quantile_half, nulls.calibration_half
     n = calib.shape[0]  # both halves hold B/2 rows
     damping = np.exp(-w)
+    # Only values above their u = 1 threshold have a level <= 1; group by column.
+    flat = np.flatnonzero(calib > _thresholds(sorted_q, damping))
+    rows, cols = np.divmod(flat[np.argsort(flat % size)], size)
+    values, d = calib[rows, cols], damping[cols]
+    groups = np.split(values, np.searchsorted(cols, np.arange(1, size)))
+    c = np.concatenate([np.searchsorted(q, v) for q, v in zip(sorted_q.T, groups)])
 
-    def rejecting_rows(u) -> int:
-        th = _thresholds(sorted_q, u * damping)
-        return np.count_nonzero(np.any(calib > th, axis=1))
+    def rank(u):  # the threshold's rank at u, as _thresholds computes it
+        return n - np.floor(u * d * n)
 
+    # A value above every quantile-half value (c = n) rejects at any u: level 0.
+    level = np.divide(n - c, d * n, out=np.zeros(len(c)), where=c < n)
+    while (down := (level > 0) & (rank(np.nextafter(level, 0.0)) <= c)).any():
+        level[down] = np.nextafter(level[down], 0.0)
+    while (up := rank(level) > c).any():
+        level[up] = np.nextafter(level[up], 1.0)
+    row_level = np.full(n, np.inf)
+    np.minimum.at(row_level, rows, level)
     k = np.count_nonzero(np.arange(1, n + 1) / n <= alpha)  # rows rate <= alpha admits
-    if rejecting_rows(alpha) > k:
-        return alpha
-    # Only values above their u = 1 threshold have a critical level <= 1.
-    hits = calib > _thresholds(sorted_q, damping)
-    if np.count_nonzero(hits.any(axis=1)) <= k:
-        return 1.0
-    levels = np.full(n, np.inf)
-    for col in range(calib.shape[1]):
-        rows = np.flatnonzero(hits[:, col])
-        c = np.searchsorted(sorted_q[:, col], calib[rows, col])
-        levels[rows] = np.minimum(levels[rows], (n - c) / (damping[col] * n))
-    u = max(alpha, np.nextafter(np.partition(levels, k)[k], 0.0))
-    while rejecting_rows(u) > k:
-        u = np.nextafter(u, 0.0)
-    while rejecting_rows(np.nextafter(u, 1.0)) <= k:
-        u = np.nextafter(u, 1.0)
-    return float(u)
+    first = np.partition(row_level, k)[k]
+    return float(min(max(np.nextafter(first, 0.0), alpha), 1.0))
 
 
 @dataclass(frozen=True)
@@ -306,5 +307,5 @@ def run_single_test(
     scaled_parents, observed, analysis, m = inputs
     stat = estimate_coefficients(scaled_parents, observed, idx).t_stat[p]
     nulls = simulate_null_stats(scaled_parents, m, idx, config.B, analysis, seed)
-    threshold = empirical_quantile(np.sort(nulls.stats[:, p]), config.alpha)
-    return bool(stat > threshold)
+    column = np.sort(nulls.stats[:, [p]], axis=0)
+    return bool(stat > _thresholds(column, np.array([config.alpha]))[0])

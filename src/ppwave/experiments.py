@@ -10,6 +10,7 @@ summarized as min/median/max of the per-delta rates over the delay grid.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -68,8 +69,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.R < 1:
             raise ValueError("R must be >= 1")
-        if self.T <= 0:
-            raise ValueError("T must be > 0")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be > 0 and finite, got {self.T}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers is not None and self.workers < 1:

@@ -102,8 +102,8 @@ class InteractionModel:
             raise ValueError("theta must be >= 0")
         if not 0 <= self.nu < self.b_support:
             raise ValueError("need 0 <= nu < b_support")
-        if self.T <= 0:
-            raise ValueError("T must be > 0")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be > 0 and finite, got {self.T}")
 
 
 def times_in(train: EventTrain, w: Window) -> np.ndarray:

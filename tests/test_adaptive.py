@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppwave as pw
@@ -275,6 +275,11 @@ def test_calibration_weights_match_columns():
     for bad in ([3.0], np.zeros(7), np.zeros((idx.size, 1))):
         with pytest.raises(ValueError):
             pw.calibrate_u_alpha(nulls, bad, 0.05)
+    for value in (math.nan, math.inf, -math.inf):
+        bad = pw.aggregation_weights(idx)
+        bad[4] = value
+        with pytest.raises(ValueError, match="weights must be finite"):
+            pw.calibrate_u_alpha(nulls, bad, 0.05)
 
 
 def _rate(nulls, w, u):
@@ -305,14 +310,27 @@ def _bisection_u_alpha(nulls, w, alpha):
     st.sampled_from([0.01, 0.05, 0.3]),
     st.sampled_from([pw.IndexSet(0, pw.NONNEG), pw.IndexSet(2), pw.IndexSet(3)]),
     st.sampled_from([None, 1, 0]),
+    st.integers(0, 3),
 )
+# B = 2 (k = 0 rows admitted at alpha = 0.05)
+@example(7, 1, 0.05, pw.IndexSet(3), None, 0)
+# one calibration row above every quantile-half value: critical level 0
+@example(8, 50, 0.05, pw.IndexSet(3), None, 1)
+# three such rows, more than the k = 2 that alpha = 0.05 admits at B = 100
+@example(9, 50, 0.05, pw.IndexSet(2), None, 3)
+# heavy ties
+@example(10, 500, 0.3, pw.IndexSet(2), 0, 0)
+# the one-index family
+@example(11, 1000, 0.01, pw.IndexSet(0, pw.NONNEG), None, 0)
 @settings(max_examples=80, deadline=None)
-def test_calibration_is_the_exact_supremum(seed, half, alpha, idx, decimals):
-    # B = 2 * half rows; rounding the statistics to a few decimals makes ties
+def test_calibration_is_the_exact_supremum(seed, half, alpha, idx, decimals, lifted):
+    # B = 2 * half rows; rounding the statistics to a few decimals makes ties;
+    # the first `lifted` calibration rows are set above every quantile-half value
     rng = np.random.default_rng(seed)
     stats = np.abs(rng.normal(size=(2 * half, idx.size)))
     if decimals is not None:
         stats = np.round(stats, decimals)
+    stats[half : half + lifted] = stats[:half].max(axis=0) + 1.0
     nulls = pw.NullStatMatrix(stats, idx)
     w = pw.aggregation_weights(idx)
     u = pw.calibrate_u_alpha(nulls, w, alpha)
@@ -350,6 +368,8 @@ def test_config_validation():
         dict(alpha=0.0),
         dict(B=3),
         dict(scale=0.0),
+        dict(scale=math.nan),
+        dict(scale=math.inf),
         dict(j0=-1),
         dict(side="bogus"),
     ):

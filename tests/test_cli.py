@@ -161,6 +161,15 @@ INVALID_INVOCATIONS = {
         "alpha must lie in (0; 1)",
     ),
     "level-T": ("level --R 1 --T 0", "T must be > 0"),
+    "level-T-nan": ("level --R 1 --T nan", "T must be > 0 and finite, got nan"),
+    "simulate-T-nan": (
+        "simulate --dataset Data_0 --T nan --out-parents {p} --out-children {c}",
+        "T must be > 0 and finite, got nan",
+    ),
+    "test-scale-inf": (
+        "test --parents {p} --children {c} --scale inf",
+        "scale must be > 0 and finite, got inf",
+    ),
     "level-gaue-T": ("level --R 1 --T 0.035", "T = 0.035 must exceed"),
     "level-workers": ("level --R 1 --workers -3", "workers must be >= 1"),
     "simulate-seed": (

@@ -36,6 +36,9 @@ def test_config_validation():
         dict(scale=0.0),
         dict(T=0.0),
         dict(T=-1.0),
+        dict(T=float("nan")),
+        dict(T=float("inf")),
+        dict(scale=float("inf")),
         dict(j0=-1),
         dict(side="bogus"),
         dict(workers=0),

@@ -134,8 +134,9 @@ def test_interaction_model_validation():
         pw.InteractionModel(mu_p=50, mu_c=20, theta=0, nu=0.02, T=2.0)  # nu >= b
     with pytest.raises(ValueError):
         pw.InteractionModel(mu_p=50, mu_c=20, theta=-1, nu=0, T=2.0)
-    with pytest.raises(ValueError):
-        pw.InteractionModel(mu_p=50, mu_c=20, theta=0, nu=0, T=0.0)
+    for T in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="T must be > 0 and finite"):
+            pw.InteractionModel(mu_p=50, mu_c=20, theta=0, nu=0, T=T)
 
 
 @st.composite
