@@ -80,6 +80,10 @@ class NullStatMatrix:
     """B rows of conditional null statistics, one column per index.
 
     The first B/2 rows are the quantile half, the rest the calibration half.
+    Only per-column order statistics of the quantile half are ever read, so
+    the first read of sorted_quantile_half sorts that half in place (stats
+    must be writable): from then on, quantile_half holds each column in
+    ascending order, not the simulated rows.
     """
 
     stats: np.ndarray
@@ -103,8 +107,10 @@ class NullStatMatrix:
 
     @cached_property
     def sorted_quantile_half(self) -> np.ndarray:
-        """The quantile half sorted ascending per column."""
-        return np.sort(self.quantile_half, axis=0)
+        """The quantile half sorted ascending per column, in place."""
+        half = self.quantile_half
+        half.sort(axis=0)
+        return half
 
 
 def simulate_null_stats(

@@ -13,11 +13,12 @@ a given matrix, and the conditional null (null_coefficient_matrix) B rows
 of uniforms, drawn block by block: each row block is drawn from the one
 generator just before it is used, so the (B, m) draws are never held. One
 loop walks the rows in fixed-size blocks, in any order within a row. The
-parents' cell table (process.PairTable) and the block buffers are built
-once per call; per block, the table's lookup gives the pairs, their integer
-dyadic-slot counts give S through each wavelet's signs, and the correction
-takes one bincount over every level's (row, j, k) bins. The wavelet family
-and its closed forms come from haar.py.
+parents' cell table (process.PairTable) is built once per call, and its
+lookup buffers and the draw buffer come from a workspace kept between calls;
+per block, the table's lookup gives the pairs, their integer dyadic-slot
+counts give S through each wavelet's signs, and the correction takes one
+bincount over every level's (row, j, k) bins. The wavelet family and its
+closed forms come from haar.py.
 """
 
 from __future__ import annotations
@@ -146,26 +147,43 @@ def _shift_mean_sums(block: np.ndarray, T: float, idx: IndexSet) -> np.ndarray:
     return sums.reshape(n_rows, width)[:, 3 * 2**idx.js - 2 + idx.ks]
 
 
+# Workspaces of the kernel, each a buffer dict for the parents' cell table
+# (PairTable.scratch), the null's draws included. A call takes one for its
+# duration and hands it back, so the next call reuses buffers already sized
+# and touched for one row block; concurrent and re-entrant calls each take
+# their own, so one block's worth is kept per concurrent call.
+_WORKSPACES: list[dict] = []
+
+
 def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):
     """(n_rows, idx.size) estimates of n_rows samples of m child times each.
 
-    block(rows) returns the (block rows, m) samples of the row slice rows; it
-    is called once per slice, in row order, just before the slice is used.
+    block(rows, scratch) returns the (block rows, m) samples of the row slice
+    rows; it is called once per slice, in row order, just before the slice is
+    used. scratch is the cell table's PairTable.scratch, whose names other
+    than the table's own are free for the block's buffers.
     """
     n = parents.count()
     if n == 0:
         raise NoParentsError("coefficient estimates require at least one parent")
     T = parent_horizon(parents)
-    table = PairTable(parents.times, 1.0)
     signs = _slot_signs(idx)
     step = max(1, _BLOCK_SIZE // max(m, signs.shape[0]))
     out = np.empty((n_rows, idx.size))
-    for start in range(0, n_rows, step):
-        rows = slice(start, min(start + step, n_rows))
-        samples = block(rows)
-        sums = _pair_sums(table, samples, idx, signs)
-        correction = _shift_mean_sums(samples, T, idx)
-        out[rows] = (sums - (n - 1) * correction) / n
+    try:
+        buffers = _WORKSPACES.pop()
+    except IndexError:
+        buffers = {}
+    try:
+        table = PairTable(parents.times, 1.0, buffers)
+        for start in range(0, n_rows, step):
+            rows = slice(start, min(start + step, n_rows))
+            samples = block(rows, table.scratch)
+            sums = _pair_sums(table, samples, idx, signs)
+            correction = _shift_mean_sums(samples, T, idx)
+            out[rows] = (sums - (n - 1) * correction) / n
+    finally:
+        _WORKSPACES.append(buffers)
     return out
 
 
@@ -189,7 +207,7 @@ def coefficient_matrix(
     if samples.ndim != 2:
         raise ValueError("samples must be a (rows, m) matrix")
 
-    def block(rows):
+    def block(rows, scratch):
         if not np.isfinite(samples[rows]).all():
             raise ValueError("samples must be finite")
         return samples[rows]
@@ -204,17 +222,13 @@ def null_coefficient_matrix(
 
     Equals coefficient_matrix(parents, gen.uniform(window.lo, window.hi,
     (n_rows, m)), idx) bit for bit without holding the (n_rows, m) draws:
-    each row block is drawn from gen, in row order, into one buffer just
-    before the kernel uses it.
+    each row block is drawn from gen, in row order, into the workspace's
+    draws buffer just before the kernel uses it.
     """
-    buffer = None
 
-    def block(rows):
-        nonlocal buffer
-        shape = (rows.stop - rows.start, m)
-        if buffer is None:  # the first block is the largest
-            buffer = np.empty(shape)
-        draws = buffer[: shape[0]]
+    def block(rows, scratch):
+        n_block = rows.stop - rows.start
+        draws = scratch("draws", n_block * m, np.float64).reshape(n_block, m)
         gen.random(out=draws)
         draws *= window.hi - window.lo
         draws += window.lo

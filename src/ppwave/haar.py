@@ -16,6 +16,7 @@ fast pair cascade agrees bit-for-bit with naive per-pair evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,8 +148,8 @@ def haar_tent(j, k, t) -> np.ndarray:
 
 def uniform_shift_mean(index: WaveletIndex, v, T: float):
     """Exact mean of phi_(j,k)(v - U) for U uniform on [0; T]."""
-    if T <= 0:
-        raise ValueError("T must be > 0")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be > 0 and finite, got {T}")
     v_arr = np.asarray(v, dtype=np.float64)
     j, k = index.j, index.k
     out = (haar_tent(j, k, v_arr) - haar_tent(j, k, v_arr - T)) / T

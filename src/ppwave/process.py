@@ -163,12 +163,14 @@ class PairTable:
 
     Building the table costs O(anchors); each lookup (differences) then costs
     O(values + pairs), so a caller that pairs many value sets with one anchor
-    set builds it once. A lookup writes into arrays the table keeps
-    (scratch), which it reuses rather than allocating pair-length arrays per
-    lookup, so what a lookup returns is valid until the next one.
+    set builds it once. A lookup writes into the arrays of buffers (scratch),
+    which it reuses rather than allocating pair-length arrays per lookup, so
+    what a lookup returns is valid until the next one. buffers is a dict the
+    table keeps its arrays in: by default its own, or one its caller passes
+    so that the arrays outlive the table, with one user at a time.
     """
 
-    def __init__(self, anchors: np.ndarray, reach: float):
+    def __init__(self, anchors: np.ndarray, reach: float, buffers=None):
         # Cells [c w; (c+1) w) of power-of-two width w about reach/16 (wider
         # if the anchors' span needs more than O(anchors) cells) each hold the
         # anchors within reach + margin: values of cell c pair with anchors
@@ -176,8 +178,7 @@ class PairTable:
         # reach, infinities and NaN (through fmax) are clipped into the empty
         # sentinel cells at either end.
         self.anchors = anchors = np.asarray(anchors, dtype=np.float64)
-        self._arrays: dict[str, np.ndarray] = {}
-        self._positions = np.arange(0)  # 0, 1, 2, ... kept across lookups
+        self._arrays: dict[str, np.ndarray] = {} if buffers is None else buffers
         if anchors.size == 0:
             return
         far = reach + _PAIR_MARGIN
@@ -200,11 +201,15 @@ class PairTable:
         room than asked, so lookups of similar sizes share it, and it may be
         taken as any dtype. A lookup uses the buffers scaled, cell, count,
         shift, owner, anchor and gather; once it has returned, only owner and
-        anchor hold its result, so a caller may reuse the others.
+        anchor hold its result, so a caller may reuse the others. The name
+        positions is taken: it keeps 0, 1, 2, ... across lookups.
         """
         itemsize = np.dtype(dtype).itemsize
         raw = self._arrays.get(name)
         if raw is None or raw.size < size * itemsize:
+            # Drop the old buffer before making its successor, so a buffer
+            # kept between calls never holds both at once.
+            raw = self._arrays[name] = None
             raw = self._arrays[name] = np.empty((size + size // 8) * itemsize, np.uint8)
         return raw[: size * itemsize].view(dtype)
 
@@ -248,9 +253,11 @@ class PairTable:
         shift -= ends
         anchor = self.scratch("anchor", n_pairs)
         np.take(shift, owner, out=anchor, mode="clip")
-        if self._positions.size < n_pairs:
-            self._positions = np.arange(n_pairs + n_pairs // 8)
-        anchor += self._positions[:n_pairs]
+        positions = self._arrays.get("positions")  # 0, 1, 2, ... kept across lookups
+        if positions is None or positions.size < n_pairs:
+            positions = self._arrays["positions"] = None  # as in scratch
+            positions = self._arrays["positions"] = np.arange(n_pairs + n_pairs // 8)
+        anchor += positions[:n_pairs]
         gather = self.scratch("gather", n_pairs, np.float64)
         np.take(self.anchors, anchor, out=gather, mode="clip")
         diffs = anchor.view(np.float64)  # the anchor indices are used up

@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,12 @@ from ppwave.coefficients import NoParentsError
 
 def train(times, lo, hi):
     return pw.EventTrain(np.asarray(times, dtype=float), pw.Window(lo, hi))
+
+
+def scaled_inputs(name, T, seed=7):
+    """(scaled parents, kept children, analysis window) of one dataset draw."""
+    parents, children = pw.make_dataset(pw.DatasetId(name), T, seed)
+    return pw.scale_clip(parents, children, 50.0)
 
 
 def scaled_data80_coefficients(seed, replicates, idx, dataset="Data_80", T=2.0):
@@ -265,17 +274,27 @@ def test_kernel_memory_flat_in_rows(j0):
             tracemalloc.stop()
         return peak - getattr(out, "stats", out).nbytes
 
+    kept = {}
     for T in (2.0, 10.0):
-        parents, children = pw.make_dataset(pw.DatasetId("Data_80"), T, 7)
-        sp, observed, window = pw.scale_clip(parents, children, 50.0)
+        sp, observed, window = scaled_inputs("Data_80", T)
         m = observed.count()
         for B in (2000, 20000):
-            null = traced_peak(lambda: pw.simulate_null_stats(sp, m, idx, B, window, B))
+            with mock.patch.object(coefficients, "_WORKSPACES", []) as workspaces:
+                null = traced_peak(
+                    lambda: pw.simulate_null_stats(sp, m, idx, B, window, B)
+                )
             assert null < 16 * 2**20
+            kept[T, B] = sum(a.nbytes for a in workspaces[0].values())
             if T == 2.0:
                 draws = np.random.default_rng(B).uniform(window.lo, window.hi, (B, m))
                 beyond = traced_peak(lambda: pw.coefficient_matrix(sp, draws, idx))
                 assert beyond < 16 * 2**20
+    # the workspace kept after a call holds one block's buffers: the same for
+    # B = 2000 and 20000, and a few MiB for m = 119 and 595
+    for T in (2.0, 10.0):
+        assert kept[T, 20000] <= 1.25 * kept[T, 2000]
+        assert kept[T, 2000] <= 1.25 * kept[T, 20000]
+    assert max(kept.values()) < 8 * 2**20
 
 
 @given(
@@ -315,6 +334,113 @@ def test_null_stats_match_the_uniform_matrix_at_the_default_block(j0):
     draws = pw.as_generator(5).uniform(window.lo, window.hi, (2000, m))
     expected = np.abs(pw.coefficient_matrix(sp, draws, idx))
     assert nulls.stats.tobytes() == expected.tobytes()
+
+
+def test_kept_workspace_gives_the_bits_of_a_fresh_one():
+    # one kept workspace serves a sequence of kernel calls whose parents, m
+    # (0 to 595), j0, side, B and block size change, small calls following
+    # large ones; each call equals, bit for bit, the same call made on a
+    # fresh workspace, so nothing a call leaves in the buffers reaches the next
+    data = {T: scaled_inputs("Data_80", T) for T in (1.0, 2.0, 10.0)}
+    calls = (  # T, m (None: the observed count), j0, side, B, block size
+        (10.0, None, 3, pw.TWO_SIDED, 2000, 2**15),
+        (2.0, None, 6, pw.TWO_SIDED, 600, 2**15),
+        (1.0, 0, 3, pw.TWO_SIDED, 20, 2**15),
+        (2.0, 1, 0, pw.NONNEG, 40, 16),
+        (10.0, None, 6, pw.NONNEG, 300, 2**15),
+        (1.0, 7, 2, pw.TWO_SIDED, 100, 100),
+        (2.0, None, 3, pw.TWO_SIDED, 2000, 2**15),
+        (10.0, 2, 1, pw.NONNEG, 2, 2**12),
+        (2.0, None, 3, pw.TWO_SIDED, 2000, 2**12),
+    )
+
+    def kernel_calls(T, m, j0, side, B):
+        sp, observed, window = data[T]
+        m = observed.count() if m is None else m
+        idx = pw.IndexSet(j0, side)
+        null = pw.simulate_null_stats(sp, m, idx, B, window, B + j0).stats
+        return null, pw.estimate_coefficients(sp, observed, idx).beta_hat
+
+    with mock.patch.object(coefficients, "_WORKSPACES", []) as workspaces:
+        for T, m, j0, side, B, block in calls:
+            with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
+                kept = kernel_calls(T, m, j0, side, B)
+                with mock.patch.object(coefficients, "_WORKSPACES", []):
+                    fresh = kernel_calls(T, m, j0, side, B)
+            for got, want in zip(kept, fresh):
+                assert got.tobytes() == want.tobytes()
+        assert len(workspaces) == 1  # one workspace served every call
+
+
+def test_concurrent_calls_take_their_own_workspace():
+    # three threads running the null kernel together and switching often
+    # give the sequential results: each call takes a workspace of its own
+    # from the free list
+    jobs = [
+        [("Data_80", 2.0, B, seed) for B, seed in ((2000, 1), (600, 2), (2000, 3))],
+        [("Data_0", 10.0, B, seed) for B, seed in ((600, 4), (2000, 5), (200, 6))],
+        [("Data_80", 2.0, B, seed) for B, seed in ((200, 7), (2000, 8), (600, 9))],
+    ]
+    data = {key: scaled_inputs(*key) for key in (("Data_80", 2.0), ("Data_0", 10.0))}
+    idx = pw.IndexSet(3)
+
+    def run(job, barrier=None):
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        out = []
+        for name, T, B, seed in job:
+            sp, observed, window = data[name, T]
+            nulls = pw.simulate_null_stats(sp, observed.count(), idx, B, window, seed)
+            out.append(nulls.stats)
+        return out
+
+    expected = [run(job) for job in jobs]
+    barrier = threading.Barrier(len(jobs))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(coefficients, "_WORKSPACES", []) as workspaces:
+            with ThreadPoolExecutor(len(jobs)) as pool:
+                futures = [pool.submit(run, job, barrier) for job in jobs]
+                results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 <= len(workspaces) <= len(jobs)  # at most one per concurrent call
+    for got, want in zip(results, expected):
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_public_pair_results_outlive_kernel_calls():
+    # pair_differences keeps private buffers, not the kernel's workspace, so
+    # a later kernel call does not overwrite what it returned, even when the
+    # workspace's buffers, sized by an earlier call, would have held it
+    sp, observed, window = scaled_inputs("Data_80", 2.0)
+    m, idx = observed.count(), pw.IndexSet(3)
+    pw.simulate_null_stats(sp, m, idx, 2000, window, 1)
+    diffs, owner = pw.pair_differences(sp.times, observed.times, 1.0)
+    saved = diffs.copy(), owner.copy()
+    pw.simulate_null_stats(sp, m, idx, 2000, window, 2)
+    pw.estimate_coefficients(sp, observed, idx)
+    assert np.array_equal(diffs, saved[0]) and np.array_equal(owner, saved[1])
+
+
+@pytest.mark.parametrize("name", ["Data_0", "Data_80"])
+def test_repeated_call_allocates_only_its_statistics(name):
+    # a second B=2000 call on the same inputs finds its cell-table and draw
+    # buffers in the kept workspace: beyond the (B, |idx|) statistics it
+    # allocates only the per-block temporaries
+    sp, observed, window = scaled_inputs(name, 2.0)
+    m, idx = observed.count(), pw.IndexSet(3)
+    with mock.patch.object(coefficients, "_WORKSPACES", []):
+        pw.simulate_null_stats(sp, m, idx, 2000, window, 1)
+        tracemalloc.start()
+        try:
+            nulls = pw.simulate_null_stats(sp, m, idx, 2000, window, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= nulls.stats.nbytes + 2**20
 
 
 @given(

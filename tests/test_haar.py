@@ -86,6 +86,12 @@ def test_uniform_shift_mean_basic():
         pw.uniform_shift_mean(wix(0, 0), 0.5, 0.0)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_uniform_shift_mean_rejects_a_nonpositive_or_nonfinite_horizon(T):
+    with pytest.raises(ValueError, match=r"T must be > 0 and finite, got "):
+        pw.uniform_shift_mean(wix(0, 0), 0.3, T)
+
+
 @pytest.mark.parametrize("j,k,v,T", [(0, 0, 0.5, 10.0), (2, -3, -0.3, 4.0), (1, 1, 3.7, 3.5)])
 def test_uniform_shift_mean_monte_carlo(j, k, v, T):
     rng = np.random.default_rng(17)
