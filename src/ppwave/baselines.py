@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .process import EventTrain, Window, pair_differences, times_in
+from .process import EventTrain, PairTable, Window, times_in
 
 __all__ = [
     "DELTA_GRID",
@@ -106,7 +106,7 @@ def _gaue_results(
     cy = times_in(children, window)
     if px.size == 0 or cy.size == 0:
         return [GaueResult(0, 0.0, 0.0, delta, False) for delta in deltas]
-    diffs, _ = pair_differences(px, cy, max(deltas))
+    diffs = PairTable(px, max(deltas)).ranked(cy)[0]  # in any order
     counts = np.searchsorted(np.sort(np.abs(diffs)), deltas, side="right")
     rate_p = px.size / T
     rate_c = cy.size / T

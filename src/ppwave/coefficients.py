@@ -14,11 +14,13 @@ of uniforms, drawn block by block: each row block is drawn from the one
 generator just before it is used, so the (B, m) draws are never held. One
 loop walks the rows in fixed-size blocks, in any order within a row. The
 parents' cell table (process.PairTable) is built once per call, and its
-lookup buffers and the draw buffer come from a workspace kept between calls;
-per block, the table's lookup gives the pairs, their integer dyadic-slot
-counts give S through each wavelet's signs, and the correction takes one
-bincount over every level's (row, j, k) bins. The wavelet family and its
-closed forms come from haar.py.
+lookup buffers and the draw buffer come from a workspace kept between calls.
+The kernel works in units of the finest slot, 2^-(j0+1), into which parents
+and draws are scaled exactly. Per block, the table's lookup gives the pairs
+rank by rank, their integer dyadic-slot counts (which no enumeration order
+can change) give S through each wavelet's signs, and the correction takes
+one bincount over every level's (row, j, k) bins. The wavelet family and
+its closed forms come from haar.py.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import IndexSet, haar_amplitude, haar_sign, haar_tent
+from .haar import IndexSet, haar_amplitude, haar_sign
 from .process import EventTrain, PairTable, Window, parent_horizon
 
 __all__ = [
@@ -69,33 +71,52 @@ def _slot_signs(idx: IndexSet) -> np.ndarray:
     return haar_sign(idx.js, idx.ks, _slot_positions(idx.j0)[:, None])
 
 
-def _pair_slot_counts(table: PairTable, samples: np.ndarray, j0: int) -> np.ndarray:
+def _row_base(out: np.ndarray, j0: int) -> np.ndarray:
+    """Fill the (rows, m) int array out with each value's row base; return out.
+
+    Row r's histogram takes the n_slots + 2 bins from r (n_slots + 2) on, a
+    trash bin at either end, so a pair of a row-r value whose slot number is
+    s (see _pair_slot_counts) falls in bin base + s, base being
+    r (n_slots + 2) + 2^(j0+2) + 1.
+    """
+    width = 2 ** (j0 + 3) + 3
+    out[:] = np.arange(out.shape[0])[:, None] * width + (2 ** (j0 + 2) + 1)
+    return out
+
+
+def _pair_slot_counts(
+    table: PairTable, samples: np.ndarray, j0: int, row_base: np.ndarray
+) -> np.ndarray:
     """Histogram of pair differences sample - parent over the dyadic slots.
 
-    table is the parents' cell table at reach 1, samples is (rows, m), in any
-    order within a row; only pairs with |difference| <= 1 contribute.
-    Returns a (rows, n_slots) integer matrix.
+    The kernel works in units of 2^-(j0+1), the finest slot's width:
+    scaling by 2^(j0+1) is exact, so a difference is its slot coordinate.
+    table is the parents' cell table at reach 2^(j0+1) and samples is
+    (rows, m), both in these units, in any order within a row; only pairs
+    with |difference| <= 2^(j0+1) (1 in time) contribute. row_base is
+    _row_base of at least as many rows of m values. Returns a (rows,
+    n_slots) integer matrix.
     """
     n_rows, m = samples.shape
     n_slots = 2 ** (j0 + 3) + 1
-    diffs, owner = table.differences(samples.ravel())
-    # With s = d 2^(j0+1) (exact), floor(s) + ceil(s) is 2s on a grid point
-    # and 2 floor(s) + 1 between two, so it numbers the slots of |d| <= 1 from
-    # -2^(j0+2) to 2^(j0+2). Farther pairs are clipped into one trash column
-    # at either end of their row, dropped after the bincount. Slots and keys
-    # overwrite diffs and owner, and floor takes the table's free gather
-    # buffer, so no pair-length array is allocated.
+    s, order, sizes = table.ranked(samples.ravel())
+    # floor(s) + ceil(s) is 2s on a grid point and 2 floor(s) + 1 between
+    # two, so it numbers the slots of |s| <= 2^(j0+1) from -2^(j0+2) to
+    # 2^(j0+2). Farther pairs are clipped into one trash bin at either end of
+    # their row, dropped after the bincount. Slot counts are integers, so
+    # the order of the pairs, rank by rank, changes no bit of the result.
     edge = 2 ** (j0 + 2) + 1
-    s = np.ldexp(diffs, j0 + 1, out=diffs)
-    floor = np.floor(s, out=table.scratch("gather", s.size, np.float64))
+    floor = np.floor(s, out=table.scratch("floor", s.size, np.float64))
     slot = np.ceil(s, out=s)
     slot += floor
     np.clip(slot, -edge, edge, out=slot)
-    keys = owner
-    keys //= m
-    keys *= n_slots + 2
-    keys += edge
-    np.add(keys, slot, out=keys, casting="unsafe")
+    keys = floor.view(np.intp)  # floor is used up
+    np.copyto(keys, slot, casting="unsafe")
+    base = np.take(row_base, order, out=table.scratch("base", order.size), mode="clip")
+    start = 0
+    for size in sizes:  # rank o's values are the first sizes[o] in order
+        keys[start : start + size] += base[:size]
+        start += size
     counts = np.bincount(keys, minlength=n_rows * (n_slots + 2))
     return counts.reshape(n_rows, n_slots + 2)[:, 1:-1]
 
@@ -106,7 +127,11 @@ _BLOCK_SIZE = 2**15
 
 
 def _pair_sums(
-    table: PairTable, samples: np.ndarray, idx: IndexSet, signs: np.ndarray
+    table: PairTable,
+    samples: np.ndarray,
+    idx: IndexSet,
+    signs: np.ndarray,
+    row_base: np.ndarray,
 ) -> np.ndarray:
     """(rows, idx.size) raw pair sums of a block of sample rows.
 
@@ -114,15 +139,17 @@ def _pair_sums(
     integers only (signs are -1/0/+1), so the result is exact up to the
     single final scaling, matching naive summation.
     """
-    counts = _pair_slot_counts(table, samples, idx.j0)
+    counts = _pair_slot_counts(table, samples, idx.j0, row_base)
     return (counts.astype(np.float64) @ signs) * haar_amplitude(idx.js)
 
 
-def _shift_mean_sums(block: np.ndarray, T: float, idx: IndexSet) -> np.ndarray:
-    """(rows, idx.size) sums over each row of uniform_shift_mean(index, x, T).
+def _shift_mean_sums(T: float, idx: IndexSet):
+    """sums(block): (rows, idx.size) sums of uniform_shift_mean(index, x, T).
 
-    One bincount covers every level j <= j0. Clipped to [-1; 1], where each
-    tent of the family is zero, a term at t meets one two-sided support per
+    sums adds over each row of block, whose values x are in units of
+    2^-(j0+1), as the kernel's samples. One
+    bincount covers every level j <= j0. Clipped to [-1; 1], where each tent
+    of the family is zero, a term at t meets one two-sided support per
     level, k = min(floor(2^j t), 2^j - 1). x adds its tent / T and x - T
     subtracts its own in (row, j, k) bins, in row-major value order, so an
     index's sums depend neither on the family nor on the other rows. Where x
@@ -130,58 +157,81 @@ def _shift_mean_sums(block: np.ndarray, T: float, idx: IndexSet) -> np.ndarray:
     differenced first as in uniform_shift_mean, so such sums agree with the
     per-index ones to a few ulp of 1/T per value; all others are identical.
     """
-    n_rows, m = block.shape
-    # Every value with |x| <= 1 or |x - T| <= 1 (all values when T < 2), and
-    # some beyond, whose clipped terms are zero.
-    near = np.flatnonzero((block <= 1.0) | (block >= T - 1.0))
-    x = block.ravel()[near]
-    t = np.clip(np.stack([x, x - T], axis=1), -1.0, 1.0)
+    # The per-level constants, built once per call. The terms are
+    # haar_tent's bits: on the clipped range a tent is never negative, and
+    # its -0.0 where it is zero adds nothing to a bincount sum of +0.0.
+    scale = 2.0 ** (idx.j0 + 1)
+    near_lo, near_hi = scale, (T - 1.0) * scale
     j = np.arange(idx.j0 + 1, dtype=np.int32)[:, None, None]  # int32: ldexp's fast path
-    k = np.minimum(np.floor(np.ldexp(t, j)), 2**j - 1)
-    terms = haar_tent(j, k, t) / T
-    terms[..., 1] *= -1.0
+    k_max = 2**j - 1
+    height = -(2.0 ** (-0.5 * j))
+    divisor = np.array([T, -T])  # x / (-T) is -(x / T), exactly
     # Two-sided index (j, k) sits in column 2^(j+1) - 2 + (k + 2^j).
     width = 2 ** (idx.j0 + 2) - 2
-    keys = (near // m * width)[:, None] + (3 * 2**j - 2 + k).astype(np.intp)
-    sums = np.bincount(keys.ravel(), terms.ravel(), minlength=n_rows * width)
-    return sums.reshape(n_rows, width)[:, 3 * 2**idx.js - 2 + idx.ks]
+    offset = 3 * 2**j - 2
+    columns = 3 * 2**idx.js - 2 + idx.ks
+
+    def sums(block: np.ndarray) -> np.ndarray:
+        n_rows, m = block.shape
+        # Every value with |x| <= 1 or |x - T| <= 1 (all values when T < 2),
+        # and some beyond, whose clipped terms are zero.
+        near = np.flatnonzero((block <= near_lo) | (block >= near_hi))
+        x = np.ldexp(block.ravel()[near], -(idx.j0 + 1))
+        t = np.clip(np.stack([x, x - T], axis=1), -1.0, 1.0)
+        y = np.ldexp(t, j)
+        k = np.minimum(np.floor(y), k_max)
+        y -= k
+        terms = np.minimum(y, 1.0 - y)
+        terms *= height
+        terms /= divisor
+        keys = (near // m * width)[:, None] + (offset + k).astype(np.intp)
+        out = np.bincount(keys.ravel(), terms.ravel(), minlength=n_rows * width)
+        return out.reshape(n_rows, width)[:, columns]
+
+    return sums
 
 
 # Workspaces of the kernel, each a buffer dict for the parents' cell table
-# (PairTable.scratch), the null's draws included. A call takes one for its
-# duration and hands it back, so the next call reuses buffers already sized
-# and touched for one row block; concurrent and re-entrant calls each take
-# their own, so one block's worth is kept per concurrent call.
+# (PairTable.scratch), the row-base table and the null's draws included. A
+# call takes one for its duration and hands it back, so the next call reuses
+# buffers already sized and touched for one row block; concurrent and
+# re-entrant calls each take their own, so one block's worth is kept per
+# concurrent call.
 _WORKSPACES: list[dict] = []
 
 
 def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):
     """(n_rows, idx.size) estimates of n_rows samples of m child times each.
 
-    block(rows, scratch) returns the (block rows, m) samples of the row slice
-    rows; it is called once per slice, in row order, just before the slice is
-    used. scratch is the cell table's PairTable.scratch, whose names other
-    than the table's own are free for the block's buffers.
+    block(rows, scratch, scale) returns the (block rows, m) samples of the
+    row slice rows, multiplied by scale = 2^(j0+1); it is called once per
+    slice, in row order, just before the slice is used. scratch is the cell
+    table's PairTable.scratch, whose names other than the table's own and
+    the kernel's (row_base, floor and base) are free for the block's
+    buffers.
     """
     n = parents.count()
     if n == 0:
         raise NoParentsError("coefficient estimates require at least one parent")
     T = parent_horizon(parents)
     signs = _slot_signs(idx)
+    correction = _shift_mean_sums(T, idx)
     step = max(1, _BLOCK_SIZE // max(m, signs.shape[0]))
     out = np.empty((n_rows, idx.size))
     try:
         buffers = _WORKSPACES.pop()
     except IndexError:
         buffers = {}
+    scale = 2.0 ** (idx.j0 + 1)
     try:
-        table = PairTable(parents.times, 1.0, buffers)
+        table = PairTable(parents.times * scale, scale, buffers)
+        row_base = table.scratch("row_base", step * m).reshape(step, m)
+        _row_base(row_base, idx.j0)
         for start in range(0, n_rows, step):
             rows = slice(start, min(start + step, n_rows))
-            samples = block(rows, table.scratch)
-            sums = _pair_sums(table, samples, idx, signs)
-            correction = _shift_mean_sums(samples, T, idx)
-            out[rows] = (sums - (n - 1) * correction) / n
+            samples = block(rows, table.scratch, scale)
+            sums = _pair_sums(table, samples, idx, signs, row_base)
+            out[rows] = (sums - (n - 1) * correction(samples)) / n
     finally:
         _WORKSPACES.append(buffers)
     return out
@@ -207,10 +257,12 @@ def coefficient_matrix(
     if samples.ndim != 2:
         raise ValueError("samples must be a (rows, m) matrix")
 
-    def block(rows, scratch):
-        if not np.isfinite(samples[rows]).all():
+    def block(rows, scratch, scale):
+        rows = samples[rows]
+        if not np.isfinite(rows).all():
             raise ValueError("samples must be finite")
-        return samples[rows]
+        out = scratch("samples", rows.size, np.float64).reshape(rows.shape)
+        return np.multiply(rows, scale, out=out)
 
     return _estimates(parents, idx, *samples.shape, block)
 
@@ -223,15 +275,17 @@ def null_coefficient_matrix(
     Equals coefficient_matrix(parents, gen.uniform(window.lo, window.hi,
     (n_rows, m)), idx) bit for bit without holding the (n_rows, m) draws:
     each row block is drawn from gen, in row order, into the workspace's
-    draws buffer just before the kernel uses it.
+    draws buffer just before the kernel uses it. The draws come scaled as
+    the kernel takes them: lo + u (hi - lo) times a power of two is
+    lo scale + u (hi - lo) scale, exactly.
     """
 
-    def block(rows, scratch):
+    def block(rows, scratch, scale):
         n_block = rows.stop - rows.start
         draws = scratch("draws", n_block * m, np.float64).reshape(n_block, m)
         gen.random(out=draws)
-        draws *= window.hi - window.lo
-        draws += window.lo
+        draws *= (window.hi - window.lo) * scale
+        draws += window.lo * scale
         return draws
 
     return _estimates(parents, idx, n_rows, m, block)
@@ -271,5 +325,8 @@ def pair_cascade(
     cost is O(pairs in range + slots * |indices|) instead of the naive
     O(n * m * |indices|).
     """
-    table = PairTable(parents.times, 1.0)
-    return _pair_sums(table, children.times[None, :], idx, _slot_signs(idx))[0]
+    scale = 2.0 ** (idx.j0 + 1)
+    table = PairTable(parents.times * scale, scale)
+    samples = children.times[None, :] * scale
+    row_base = _row_base(np.empty(samples.shape, np.intp), idx.j0)
+    return _pair_sums(table, samples, idx, _slot_signs(idx), row_base)[0]

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -185,6 +184,10 @@ def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if workers <= 1:
         results = [_replicate(t) for t in tasks]
     else:
+        # Imported here: a process pool costs every import of ppwave about
+        # 20 ms, and single-worker runs never use one.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, tasks, chunksize=chunk))

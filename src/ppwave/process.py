@@ -152,16 +152,18 @@ def scale_clip(
     return sp, EventTrain(times_in(sc, window), window), window
 
 
-# Slack added to the reach when pre-selecting pairs. Candidates are then
-# filtered on the exact computed difference, so the value only needs to
-# dominate rounding of x - u (~1e-13 at the magnitudes handled here).
+# Relative slack of the reach when pre-selecting pairs. Candidates are then
+# filtered on the exact computed difference, so the slack only needs to
+# dominate rounding of x - u (~1e-13 of the reach at the magnitudes handled
+# here). Being relative, it keeps a table of anchors and reach scaled by a
+# power of two the same table, scaled: the same cells and candidates.
 _PAIR_MARGIN = 1e-9
 
 
 class PairTable:
     """Cell table of sorted anchors for repeated searches of pairs within reach.
 
-    Building the table costs O(anchors); each lookup (differences) then costs
+    Building the table costs O(anchors); each lookup (ranked) then costs
     O(values + pairs), so a caller that pairs many value sets with one anchor
     set builds it once. A lookup writes into the arrays of buffers (scratch),
     which it reuses rather than allocating pair-length arrays per lookup, so
@@ -181,7 +183,7 @@ class PairTable:
         self._arrays: dict[str, np.ndarray] = {} if buffers is None else buffers
         if anchors.size == 0:
             return
-        far = reach + _PAIR_MARGIN
+        far = reach * (1.0 + _PAIR_MARGIN)
         span = anchors[-1] - anchors[0] + 2.0 * far
         cells = 16 * anchors.size + 1024
         self._exp = max(math.frexp(reach)[1] - 5, math.frexp(span / cells)[1])
@@ -190,19 +192,23 @@ class PairTable:
         edges = np.arange(self._c_lo, self._c_hi + 2, dtype=np.float64)
         edges = np.ldexp(edges, self._exp)
         self._first = np.searchsorted(anchors, edges[:-1] - far, side="left")
-        last = np.searchsorted(anchors, edges[1:] + far, side="right")
-        self._count = last - self._first
-        self._count[[0, -1]] = 0
+        count = np.searchsorted(anchors, edges[1:] + far, side="right")
+        count -= self._first
+        count[[0, -1]] = 0
+        # A lookup orders its values by descending count through a stable
+        # argsort of key = most - count, which numpy radix-sorts when the key
+        # is 8 or 16 bits wide.
+        self._most = int(count.max())
+        self._key = (self._most - count).astype(np.min_scalar_type(self._most))
 
     def scratch(self, name: str, size: int, dtype=np.intp) -> np.ndarray:
         """size entries of dtype in the kept buffer name, overwritten freely.
 
         A buffer is made, or replaced when too small, with an eighth more
         room than asked, so lookups of similar sizes share it, and it may be
-        taken as any dtype. A lookup uses the buffers scaled, cell, count,
-        shift, owner, anchor and gather; once it has returned, only owner and
-        anchor hold its result, so a caller may reuse the others. The name
-        positions is taken: it keeps 0, 1, 2, ... across lookups.
+        taken as any dtype. A lookup uses the buffers scaled, cell, key,
+        first and diffs; once it has returned, only diffs holds its result,
+        so a caller may reuse the others.
         """
         itemsize = np.dtype(dtype).itemsize
         raw = self._arrays.get(name)
@@ -213,19 +219,23 @@ class PairTable:
             raw = self._arrays[name] = np.empty((size + size // 8) * itemsize, np.uint8)
         return raw[: size * itemsize].view(dtype)
 
-    def differences(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Differences value - anchor of the candidate pairs within reach.
+    def ranked(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Differences value - anchor of the candidate pairs, rank by rank.
 
-        values may come in any order. Returns (diffs, owner): pair p is
-        values[owner[p]] - anchor, owner is nondecreasing, and each value's
-        candidates take its anchors in ascending order. The candidates include
-        every pair with |difference| <= reach and may include pairs beyond it,
-        so callers filter diffs on their exact condition. Per-value data of
-        the pairs is data[owner]. Both arrays are scratch of the table.
+        values may come in any order. Returns (diffs, order, sizes): order
+        lists the positions of values by descending candidate count, ties in
+        input order, and sizes[o] > 0 is the number of values with more than
+        o candidates. Rank o pairs each value of values[order[:sizes[o]]]
+        with its candidate o (counting from 0), a value's candidates taking
+        consecutive anchors in ascending order; their differences are
+        diffs[start : start + sizes[o]], start being sum(sizes[:o]). The
+        candidates include every pair with |difference| <= reach and may
+        include pairs beyond it, so callers filter diffs on their exact
+        condition. diffs is scratch of the table, order a new array.
         """
-        if self.anchors.size == 0 or values.size == 0:
-            return np.empty(0), np.empty(0, dtype=np.intp)
         n_values = values.size
+        if self.anchors.size == 0 or n_values == 0:
+            return np.empty(0), np.empty(0, dtype=np.intp), []
         scaled = self.scratch("scaled", n_values, np.float64)
         np.ldexp(values, -self._exp, out=scaled)
         np.floor(scaled, out=scaled)
@@ -236,34 +246,42 @@ class PairTable:
         cell -= self._c_lo
         # take's default mode copies its out array first; clip does not, and
         # every index is in range.
-        cnt = self.scratch("count", n_values)
-        np.take(self._count, cell, out=cnt, mode="clip")
-        shift = self.scratch("shift", n_values)
-        np.take(self._first, cell, out=shift, mode="clip")
-        ends = np.cumsum(cnt, out=cell)  # value i's pairs end before ends[i]
-        n_pairs = int(ends[-1])
-        # owner[p] is the number of values whose pairs end at or before p.
-        owner = self.scratch("owner", n_pairs + 1)
-        owner.fill(0)
-        np.add.at(owner, ends[:-1], 1)
-        owner = np.cumsum(owner[:-1], out=owner[:-1])
-        # Pair p of value i takes anchor first[cell[i]] + (p - start[i]),
-        # start[i] = ends[i] - cnt[i] being the position of its first pair.
-        shift += cnt
-        shift -= ends
-        anchor = self.scratch("anchor", n_pairs)
-        np.take(shift, owner, out=anchor, mode="clip")
-        positions = self._arrays.get("positions")  # 0, 1, 2, ... kept across lookups
-        if positions is None or positions.size < n_pairs:
-            positions = self._arrays["positions"] = None  # as in scratch
-            positions = self._arrays["positions"] = np.arange(n_pairs + n_pairs // 8)
-        anchor += positions[:n_pairs]
-        gather = self.scratch("gather", n_pairs, np.float64)
-        np.take(self.anchors, anchor, out=gather, mode="clip")
-        diffs = anchor.view(np.float64)  # the anchor indices are used up
-        np.take(values, owner, out=diffs, mode="clip")
-        diffs -= gather
-        return diffs, owner
+        key = self.scratch("key", n_values, self._key.dtype)
+        np.take(self._key, cell, out=key, mode="clip")
+        order = np.argsort(key, kind="stable")
+        # The values with more than o candidates are those of key < most - o;
+        # the sorted keys borrow first's buffer before it is filled.
+        ranked = self.scratch("first", n_values, key.dtype)
+        np.take(key, order, out=ranked, mode="clip")
+        bounds = np.arange(self._most, 0, -1, dtype=key.dtype)
+        sizes = [size for size in np.searchsorted(ranked, bounds).tolist() if size]
+        first = self.scratch("first", n_values)
+        np.take(self._first, cell, out=first, mode="clip")
+        first = np.take(first, order, out=cell, mode="clip")
+        ordered = np.take(values, order, out=scaled, mode="clip")
+        # Rank o's values are a prefix of the ordered ones, each against the
+        # anchor o places after its first: its first in anchors[o:].
+        diffs = self.scratch("diffs", sum(sizes), np.float64)
+        start = 0
+        for o, size in enumerate(sizes):
+            rank = diffs[start : start + size]
+            np.take(self.anchors[o:], first[:size], out=rank, mode="clip")
+            np.subtract(ordered[:size], rank, out=rank)
+            start += size
+        return diffs, order, sizes
+
+    def differences(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate pairs of ranked, value by value.
+
+        values may come in any order. Returns (diffs, owner): pair p is
+        values[owner[p]] - anchor, owner is nondecreasing, and each value's
+        candidates take its anchors in ascending order. Per-value data of the
+        pairs is data[owner]. Both arrays are new.
+        """
+        diffs, order, sizes = self.ranked(values)
+        owner = np.concatenate([order[:size] for size in sizes] + [order[:0]])
+        by_value = np.argsort(owner, kind="stable")
+        return diffs[by_value], owner[by_value]
 
 
 def pair_differences(

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import ppwave as pw
-from ppwave.coefficients import _pair_slot_counts, _slot_positions
+from ppwave import coefficients
+from ppwave.coefficients import _pair_slot_counts, _row_base, _slot_positions
 from ppwave.process import PairTable
 
 SQRT2 = math.sqrt(2.0)
@@ -180,11 +182,62 @@ def test_pair_cascade_matches_naive_property(chi, par, j0):
     assert np.array_equal(fast, naive_pair_sums(chi, par, idx))
 
 
+@st.composite
+def dense_pair_problems(draw):
+    """Sorted parents on [0; 5] and a (rows, m) sample matrix on [1; 7].
+
+    Half the parent sets pack 300 parents within 0.2 of 2.5, so a value there
+    has more than 255 candidates (a 16-bit sort key); others may hold a
+    single parent. Samples are uniform, or on a slot boundary about a parent
+    or one ulp beside it; those beyond 6 lie beyond every parent, and sparse
+    parents leave values with no candidate between them.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j0 = draw(st.integers(0, 3))
+    dense = draw(st.booleans())
+    sparse = rng.uniform(0.0, 5.0, draw(st.integers(0 if dense else 1, 6)))
+    parents = np.sort(np.concatenate([sparse, rng.uniform(2.4, 2.6, 300 * dense)]))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 12)))
+    g = rng.integers(-(2 ** (j0 + 1)), 2 ** (j0 + 1) + 1, shape)
+    grid = rng.choice(parents, shape) + np.ldexp(g.astype(np.float64), -(j0 + 1))
+    grid = np.nextafter(grid, grid + rng.integers(-1, 2, shape))
+    samples = np.where(rng.random(shape) < 0.5, rng.uniform(1.0, 7.0, shape), grid)
+    if dense and shape[1]:
+        samples[0, 0] = 2.5
+    side = draw(st.sampled_from([pw.TWO_SIDED, pw.NONNEG]))
+    return parents, np.clip(samples, 1.0, 7.0), pw.IndexSet(j0, side)
+
+
+@given(dense_pair_problems(), st.sampled_from([1, 16, 2**15]))
+@settings(max_examples=60, deadline=None)
+def test_rank_major_pair_sums_match_naive(problem, block):
+    # the kernel enumerates pairs rank by rank, values ordered by their
+    # candidate count; its slot counts are integers, so pair_cascade and
+    # coefficient_matrix give the naive sums bit for bit, whatever the
+    # key width, the block size and m (0 included). Samples within [1; T - 1]
+    # meet no tent, so the shift-mean correction is exactly zero and a
+    # coefficient is the raw sum over n.
+    par, samples, idx = problem
+    if par.size >= 300:
+        sizes = PairTable(par, 1.0).ranked(np.array([2.5]))[2]
+        assert len(sizes) > 255
+    parents = pw.EventTrain(par, pw.Window(0.0, 8.0))
+    naive = np.zeros((samples.shape[0], idx.size))
+    for b, row in enumerate(samples):
+        naive[b] = naive_pair_sums(row, par, idx)
+        children = pw.EventTrain(np.sort(row), pw.Window(-2.0, 10.0))
+        assert np.array_equal(pw.pair_cascade(children, parents, idx), naive[b])
+    with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
+        beta = pw.coefficient_matrix(parents, samples, idx)
+    assert np.array_equal(beta, naive / par.size)
+
+
 def test_slot_machinery_covers_unit_interval():
     pos = _slot_positions(3)
     assert pos[0] == -1.0 and pos[-1] == 1.0
     assert len(pos) == 2 ** (3 + 3) + 1
-    table = PairTable(np.array([0.0]), 1.0)
-    counts = _pair_slot_counts(table, np.array([[-1.0, 1.0, 0.5]]), 3)
+    table = PairTable(np.array([0.0]), 2.0**4)  # in units of the finest slot
+    samples = np.ldexp(np.array([[-1.0, 1.0, 0.5]]), 4)
+    counts = _pair_slot_counts(table, samples, 3, _row_base(np.empty((1, 3), int), 3))
     assert counts.sum() == 3  # endpoints included, grid hits take even slots
     assert counts[0, 0] == 1 and counts[0, -1] == 1

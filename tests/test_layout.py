@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -63,3 +66,20 @@ def test_every_export_has_a_user():
             if not any(re.search(rf"\b{name}\b", text) for text in elsewhere):
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_import_loads_no_process_pool():
+    # the process pool is imported where a run uses more than one worker, so
+    # an import of ppwave, paid by every CLI call and benchmark set-up, loads
+    # neither multiprocessing nor concurrent.futures (numpy loads neither)
+    code = (
+        "import sys, numpy, ppwave; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert run.stdout.strip() == "[]"
