@@ -64,6 +64,8 @@ class TestConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0; 1)")
+        if isinstance(self.B, bool) or not isinstance(self.B, (int, np.integer)):
+            raise ValueError(f"B must be an integer, got {self.B!r}")
         if self.B < 2 or self.B % 2:
             raise ValueError("B must be an even integer >= 2")
         if not 0 < self.scale < math.inf:

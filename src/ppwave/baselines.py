@@ -71,7 +71,7 @@ def ks_test(children: EventTrain, obs: Window, alpha: float) -> KsResult:
     Uses the asymptotic p-value K(sqrt(m) * D), which is conservative at
     small m: at T=1 the window holds about 16-21 children, where the exact
     size of the test at alpha = 0.05 is 0.038-0.039 (0.034 at m=10, 0.046 at
-    m=120). ROADMAP.md item 4 plans the exact finite-m law. An empty train
+    m=120). ROADMAP.md plans the exact finite-m law. An empty train
     accepts with the no-information flag.
     """
     if not 0.0 < alpha < 1.0:

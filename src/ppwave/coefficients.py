@@ -13,10 +13,11 @@ a given matrix, and the conditional null (null_coefficient_matrix) B rows
 of uniforms, drawn block by block: each row block is drawn from the one
 generator just before it is used, so the (B, m) draws are never held. One
 loop walks the rows in fixed-size blocks, in any order within a row. The
-parents' cell table (process.PairTable) is built once per call, and its
-lookup buffers and the draw buffer come from a workspace kept between calls.
-The kernel works in units of the finest slot, 2^-(j0+1), into which parents
-and draws are scaled exactly. Per block, the table's lookup gives the pairs
+parents' cell table (process.PairTable) is built once per call and holds no
+buffers: the kernel owns every array a block works in, the samples and the
+table's lookup arrays included, in one workspace kept between calls. The
+kernel works in units of the finest slot, 2^-(j0+1), into which parents and
+samples are scaled exactly. Per block, the table's lookup gives the pairs
 rank by rank, their integer dyadic-slot counts (which no enumeration order
 can change) give S through each wavelet's signs, and the correction takes
 one bincount over every level's (row, j, k) bins. The wavelet family and
@@ -26,6 +27,7 @@ its closed forms come from haar.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -71,21 +73,8 @@ def _slot_signs(idx: IndexSet) -> np.ndarray:
     return haar_sign(idx.js, idx.ks, _slot_positions(idx.j0)[:, None])
 
 
-def _row_base(out: np.ndarray, j0: int) -> np.ndarray:
-    """Fill the (rows, m) int array out with each value's row base; return out.
-
-    Row r's histogram takes the n_slots + 2 bins from r (n_slots + 2) on, a
-    trash bin at either end, so a pair of a row-r value whose slot number is
-    s (see _pair_slot_counts) falls in bin base + s, base being
-    r (n_slots + 2) + 2^(j0+2) + 1.
-    """
-    width = 2 ** (j0 + 3) + 3
-    out[:] = np.arange(out.shape[0])[:, None] * width + (2 ** (j0 + 2) + 1)
-    return out
-
-
 def _pair_slot_counts(
-    table: PairTable, samples: np.ndarray, j0: int, row_base: np.ndarray
+    table: PairTable, samples: np.ndarray, j0: int, scratch
 ) -> np.ndarray:
     """Histogram of pair differences sample - parent over the dyadic slots.
 
@@ -93,26 +82,31 @@ def _pair_slot_counts(
     scaling by 2^(j0+1) is exact, so a difference is its slot coordinate.
     table is the parents' cell table at reach 2^(j0+1) and samples is
     (rows, m), both in these units, in any order within a row; only pairs
-    with |difference| <= 2^(j0+1) (1 in time) contribute. row_base is
-    _row_base of at least as many rows of m values. Returns a (rows,
-    n_slots) integer matrix.
+    with |difference| <= 2^(j0+1) (1 in time) contribute. scratch is the
+    allocator of the kernel's workspace (_buffer). Returns a (rows, n_slots)
+    integer matrix.
     """
     n_rows, m = samples.shape
     n_slots = 2 ** (j0 + 3) + 1
-    s, order, sizes = table.ranked(samples.ravel())
+    s, order, sizes = table.ranked(samples.ravel(), scratch)
     # floor(s) + ceil(s) is 2s on a grid point and 2 floor(s) + 1 between
     # two, so it numbers the slots of |s| <= 2^(j0+1) from -2^(j0+2) to
     # 2^(j0+2). Farther pairs are clipped into one trash bin at either end of
     # their row, dropped after the bincount. Slot counts are integers, so
     # the order of the pairs, rank by rank, changes no bit of the result.
     edge = 2 ** (j0 + 2) + 1
-    floor = np.floor(s, out=table.scratch("floor", s.size, np.float64))
+    floor = np.floor(s, out=scratch("floor", s.size, np.float64))
     slot = np.ceil(s, out=s)
     slot += floor
     np.clip(slot, -edge, edge, out=slot)
     keys = floor.view(np.intp)  # floor is used up
     np.copyto(keys, slot, casting="unsafe")
-    base = np.take(row_base, order, out=table.scratch("base", order.size), mode="clip")
+    # Row r's histogram takes the n_slots + 2 bins from r (n_slots + 2) on, a
+    # trash bin at either end, so a pair in slot s of a value in row r (the
+    # value at position order // m) falls in bin r (n_slots + 2) + edge + s.
+    base = np.floor_divide(order, m, out=scratch("base", order.size))
+    base *= n_slots + 2
+    base += edge
     start = 0
     for size in sizes:  # rank o's values are the first sizes[o] in order
         keys[start : start + size] += base[:size]
@@ -131,7 +125,7 @@ def _pair_sums(
     samples: np.ndarray,
     idx: IndexSet,
     signs: np.ndarray,
-    row_base: np.ndarray,
+    scratch,
 ) -> np.ndarray:
     """(rows, idx.size) raw pair sums of a block of sample rows.
 
@@ -139,7 +133,7 @@ def _pair_sums(
     integers only (signs are -1/0/+1), so the result is exact up to the
     single final scaling, matching naive summation.
     """
-    counts = _pair_slot_counts(table, samples, idx.j0, row_base)
+    counts = _pair_slot_counts(table, samples, idx.j0, scratch)
     return (counts.astype(np.float64) @ signs) * haar_amplitude(idx.js)
 
 
@@ -191,24 +185,39 @@ def _shift_mean_sums(T: float, idx: IndexSet):
     return sums
 
 
-# Workspaces of the kernel, each a buffer dict for the parents' cell table
-# (PairTable.scratch), the row-base table and the null's draws included. A
-# call takes one for its duration and hands it back, so the next call reuses
+# Workspaces of the kernel, each a dict of the buffers of one row block: the
+# samples, the cell table's lookup arrays and the slot and key arrays. A call
+# takes one for its duration and hands it back, so the next call reuses
 # buffers already sized and touched for one row block; concurrent and
 # re-entrant calls each take their own, so one block's worth is kept per
 # concurrent call.
 _WORKSPACES: list[dict] = []
 
 
+def _buffer(workspace: dict, name: str, size: int, dtype=np.intp) -> np.ndarray:
+    """size entries of dtype in the buffer name of workspace, overwritten freely.
+
+    A buffer is made, or replaced when too small, with an eighth more room
+    than asked, so blocks of similar sizes share it, and it may be taken as
+    any dtype.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    raw = workspace.get(name)
+    if raw is None or raw.size < size * itemsize:
+        # Drop the old buffer before making its successor, so a buffer kept
+        # between calls never holds both at once.
+        raw = workspace[name] = None
+        raw = workspace[name] = np.empty((size + size // 8) * itemsize, np.uint8)
+    return raw[: size * itemsize].view(dtype)
+
+
 def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):
     """(n_rows, idx.size) estimates of n_rows samples of m child times each.
 
-    block(rows, scratch, scale) returns the (block rows, m) samples of the
-    row slice rows, multiplied by scale = 2^(j0+1); it is called once per
-    slice, in row order, just before the slice is used. scratch is the cell
-    table's PairTable.scratch, whose names other than the table's own and
-    the kernel's (row_base, floor and base) are free for the block's
-    buffers.
+    block(rows, out) fills the (block rows, m) buffer out with the samples of
+    the row slice rows, in time units; it is called once per slice, in row
+    order, just before the slice is used. The kernel then scales them by
+    2^(j0+1), exactly.
     """
     n = parents.count()
     if n == 0:
@@ -218,22 +227,24 @@ def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):
     correction = _shift_mean_sums(T, idx)
     step = max(1, _BLOCK_SIZE // max(m, signs.shape[0]))
     out = np.empty((n_rows, idx.size))
-    try:
-        buffers = _WORKSPACES.pop()
-    except IndexError:
-        buffers = {}
     scale = 2.0 ** (idx.j0 + 1)
+    table = PairTable(parents.times * scale, scale)
     try:
-        table = PairTable(parents.times * scale, scale, buffers)
-        row_base = table.scratch("row_base", step * m).reshape(step, m)
-        _row_base(row_base, idx.j0)
+        workspace = _WORKSPACES.pop()
+    except IndexError:
+        workspace = {}
+    scratch = partial(_buffer, workspace)
+    try:
         for start in range(0, n_rows, step):
-            rows = slice(start, min(start + step, n_rows))
-            samples = block(rows, table.scratch, scale)
-            sums = _pair_sums(table, samples, idx, signs, row_base)
-            out[rows] = (sums - (n - 1) * correction(samples)) / n
+            stop = min(start + step, n_rows)
+            samples = scratch("samples", (stop - start) * m, np.float64)
+            samples = samples.reshape(stop - start, m)
+            block(slice(start, stop), samples)
+            samples *= scale
+            sums = _pair_sums(table, samples, idx, signs, scratch)
+            out[start:stop] = (sums - (n - 1) * correction(samples)) / n
     finally:
-        _WORKSPACES.append(buffers)
+        _WORKSPACES.append(workspace)
     return out
 
 
@@ -257,12 +268,10 @@ def coefficient_matrix(
     if samples.ndim != 2:
         raise ValueError("samples must be a (rows, m) matrix")
 
-    def block(rows, scratch, scale):
-        rows = samples[rows]
-        if not np.isfinite(rows).all():
+    def block(rows, out):
+        out[:] = samples[rows]
+        if not np.isfinite(out).all():
             raise ValueError("samples must be finite")
-        out = scratch("samples", rows.size, np.float64).reshape(rows.shape)
-        return np.multiply(rows, scale, out=out)
 
     return _estimates(parents, idx, *samples.shape, block)
 
@@ -274,19 +283,15 @@ def null_coefficient_matrix(
 
     Equals coefficient_matrix(parents, gen.uniform(window.lo, window.hi,
     (n_rows, m)), idx) bit for bit without holding the (n_rows, m) draws:
-    each row block is drawn from gen, in row order, into the workspace's
-    draws buffer just before the kernel uses it. The draws come scaled as
-    the kernel takes them: lo + u (hi - lo) times a power of two is
-    lo scale + u (hi - lo) scale, exactly.
+    each row block is drawn from gen, in row order, into the kernel's
+    sample buffer just before the kernel uses it, as uniform's
+    lo + u (hi - lo).
     """
 
-    def block(rows, scratch, scale):
-        n_block = rows.stop - rows.start
-        draws = scratch("draws", n_block * m, np.float64).reshape(n_block, m)
-        gen.random(out=draws)
-        draws *= (window.hi - window.lo) * scale
-        draws += window.lo * scale
-        return draws
+    def block(rows, out):
+        gen.random(out=out)
+        out *= window.hi - window.lo
+        out += window.lo
 
     return _estimates(parents, idx, n_rows, m, block)
 
@@ -328,5 +333,4 @@ def pair_cascade(
     scale = 2.0 ** (idx.j0 + 1)
     table = PairTable(parents.times * scale, scale)
     samples = children.times[None, :] * scale
-    row_base = _row_base(np.empty(samples.shape, np.intp), idx.j0)
-    return _pair_sums(table, samples, idx, _slot_signs(idx), row_base)[0]
+    return _pair_sums(table, samples, idx, _slot_signs(idx), partial(_buffer, {}))[0]

@@ -66,6 +66,12 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        counts = {"R": self.R, "master_seed": self.master_seed}
+        if self.workers is not None:
+            counts["workers"] = self.workers
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.R < 1:
             raise ValueError("R must be >= 1")
         if not 0 < self.T < math.inf:

@@ -67,6 +67,8 @@ class IndexSet:
     side: str = TWO_SIDED
 
     def __post_init__(self):
+        if isinstance(self.j0, bool) or not isinstance(self.j0, (int, np.integer)):
+            raise ValueError(f"j0 must be an integer, got {self.j0!r}")
         if self.j0 < 0:
             raise ValueError("j0 must be >= 0")
         if self.side not in (TWO_SIDED, NONNEG):

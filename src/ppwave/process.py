@@ -20,7 +20,6 @@ __all__ = [
     "parent_horizon",
     "conditioning_window",
     "scale_clip",
-    "pair_differences",
     "read_events",
     "write_events",
 ]
@@ -165,14 +164,11 @@ class PairTable:
 
     Building the table costs O(anchors); each lookup (ranked) then costs
     O(values + pairs), so a caller that pairs many value sets with one anchor
-    set builds it once. A lookup writes into the arrays of buffers (scratch),
-    which it reuses rather than allocating pair-length arrays per lookup, so
-    what a lookup returns is valid until the next one. buffers is a dict the
-    table keeps its arrays in: by default its own, or one its caller passes
-    so that the arrays outlive the table, with one user at a time.
+    set builds it once. The table keeps no buffers: a lookup takes its
+    arrays from its caller's allocator, or makes new ones.
     """
 
-    def __init__(self, anchors: np.ndarray, reach: float, buffers=None):
+    def __init__(self, anchors: np.ndarray, reach: float):
         # Cells [c w; (c+1) w) of power-of-two width w about reach/16 (wider
         # if the anchors' span needs more than O(anchors) cells) each hold the
         # anchors within reach + margin: values of cell c pair with anchors
@@ -180,7 +176,6 @@ class PairTable:
         # reach, infinities and NaN (through fmax) are clipped into the empty
         # sentinel cells at either end.
         self.anchors = anchors = np.asarray(anchors, dtype=np.float64)
-        self._arrays: dict[str, np.ndarray] = {} if buffers is None else buffers
         if anchors.size == 0:
             return
         far = reach * (1.0 + _PAIR_MARGIN)
@@ -201,25 +196,9 @@ class PairTable:
         self._most = int(count.max())
         self._key = (self._most - count).astype(np.min_scalar_type(self._most))
 
-    def scratch(self, name: str, size: int, dtype=np.intp) -> np.ndarray:
-        """size entries of dtype in the kept buffer name, overwritten freely.
-
-        A buffer is made, or replaced when too small, with an eighth more
-        room than asked, so lookups of similar sizes share it, and it may be
-        taken as any dtype. A lookup uses the buffers scaled, cell, key,
-        first and diffs; once it has returned, only diffs holds its result,
-        so a caller may reuse the others.
-        """
-        itemsize = np.dtype(dtype).itemsize
-        raw = self._arrays.get(name)
-        if raw is None or raw.size < size * itemsize:
-            # Drop the old buffer before making its successor, so a buffer
-            # kept between calls never holds both at once.
-            raw = self._arrays[name] = None
-            raw = self._arrays[name] = np.empty((size + size // 8) * itemsize, np.uint8)
-        return raw[: size * itemsize].view(dtype)
-
-    def ranked(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def ranked(
+        self, values: np.ndarray, scratch=None
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Differences value - anchor of the candidate pairs, rank by rank.
 
         values may come in any order. Returns (diffs, order, sizes): order
@@ -231,37 +210,46 @@ class PairTable:
         diffs[start : start + sizes[o]], start being sum(sizes[:o]). The
         candidates include every pair with |difference| <= reach and may
         include pairs beyond it, so callers filter diffs on their exact
-        condition. diffs is scratch of the table, order a new array.
+        condition.
+
+        scratch(name, size, dtype=np.intp) gives the lookup's working arrays,
+        each overwritten freely: by default new ones, or buffers its caller
+        keeps between lookups. The lookup takes the names scaled, cell, key,
+        first and diffs; once it has returned, only diffs holds its result,
+        so a caller may reuse the others. order is a new array.
         """
         n_values = values.size
         if self.anchors.size == 0 or n_values == 0:
             return np.empty(0), np.empty(0, dtype=np.intp), []
-        scaled = self.scratch("scaled", n_values, np.float64)
+        if scratch is None:
+            def scratch(name, size, dtype=np.intp):
+                return np.empty(size, dtype)
+        scaled = scratch("scaled", n_values, np.float64)
         np.ldexp(values, -self._exp, out=scaled)
         np.floor(scaled, out=scaled)
         np.fmax(scaled, self._c_lo, out=scaled)
         np.fmin(scaled, self._c_hi, out=scaled)
-        cell = self.scratch("cell", n_values)
+        cell = scratch("cell", n_values)
         np.copyto(cell, scaled, casting="unsafe")
         cell -= self._c_lo
         # take's default mode copies its out array first; clip does not, and
         # every index is in range.
-        key = self.scratch("key", n_values, self._key.dtype)
+        key = scratch("key", n_values, self._key.dtype)
         np.take(self._key, cell, out=key, mode="clip")
         order = np.argsort(key, kind="stable")
         # The values with more than o candidates are those of key < most - o;
         # the sorted keys borrow first's buffer before it is filled.
-        ranked = self.scratch("first", n_values, key.dtype)
+        ranked = scratch("first", n_values, key.dtype)
         np.take(key, order, out=ranked, mode="clip")
         bounds = np.arange(self._most, 0, -1, dtype=key.dtype)
         sizes = [size for size in np.searchsorted(ranked, bounds).tolist() if size]
-        first = self.scratch("first", n_values)
+        first = scratch("first", n_values)
         np.take(self._first, cell, out=first, mode="clip")
         first = np.take(first, order, out=cell, mode="clip")
         ordered = np.take(values, order, out=scaled, mode="clip")
         # Rank o's values are a prefix of the ordered ones, each against the
         # anchor o places after its first: its first in anchors[o:].
-        diffs = self.scratch("diffs", sum(sizes), np.float64)
+        diffs = scratch("diffs", sum(sizes), np.float64)
         start = 0
         for o, size in enumerate(sizes):
             rank = diffs[start : start + size]
@@ -269,30 +257,6 @@ class PairTable:
             np.subtract(ordered[:size], rank, out=rank)
             start += size
         return diffs, order, sizes
-
-    def differences(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The candidate pairs of ranked, value by value.
-
-        values may come in any order. Returns (diffs, owner): pair p is
-        values[owner[p]] - anchor, owner is nondecreasing, and each value's
-        candidates take its anchors in ascending order. Per-value data of the
-        pairs is data[owner]. Both arrays are new.
-        """
-        diffs, order, sizes = self.ranked(values)
-        owner = np.concatenate([order[:size] for size in sizes] + [order[:0]])
-        by_value = np.argsort(owner, kind="stable")
-        return diffs[by_value], owner[by_value]
-
-
-def pair_differences(
-    anchors: np.ndarray, values: np.ndarray, reach: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Differences value - anchor of the candidate pairs within reach.
-
-    anchors must be sorted ascending: see PairTable.differences, of which
-    this is the one-lookup case.
-    """
-    return PairTable(anchors, reach).differences(values)
 
 
 def write_events(train: EventTrain, path) -> None:

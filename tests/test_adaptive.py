@@ -372,10 +372,14 @@ def test_config_validation():
         dict(scale=math.inf),
         dict(j0=-1),
         dict(side="bogus"),
+        dict(B=200.0),  # counts must be integers, not integral floats
+        dict(j0=2.0),
+        dict(B=True),
     ):
         with pytest.raises(ValueError):
             pw.TestConfig(**bad)
     assert pw.TestConfig(j0=2, side=pw.NONNEG).index_set == pw.IndexSet(2, pw.NONNEG)
+    assert pw.TestConfig(j0=np.int64(2), B=np.int32(200)).index_set == pw.IndexSet(2)
 
 
 def test_outcome_deterministic_and_consistent():

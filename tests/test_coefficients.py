@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import ppwave as pw
 from ppwave import coefficients
 from ppwave.coefficients import NoParentsError
+from ppwave.process import PairTable
 
 
 def train(times, lo, hi):
@@ -412,17 +413,18 @@ def test_concurrent_calls_take_their_own_workspace():
 
 
 def test_public_pair_results_outlive_kernel_calls():
-    # pair_differences keeps private buffers, not the kernel's workspace, so
-    # a later kernel call does not overwrite what it returned, even when the
-    # workspace's buffers, sized by an earlier call, would have held it
+    # a lookup made with no allocator returns new arrays, not the kernel's
+    # workspace buffers, so a later kernel call does not overwrite what it
+    # returned, even when the workspace's buffers, sized by an earlier call,
+    # would have held it
     sp, observed, window = scaled_inputs("Data_80", 2.0)
     m, idx = observed.count(), pw.IndexSet(3)
     pw.simulate_null_stats(sp, m, idx, 2000, window, 1)
-    diffs, owner = pw.pair_differences(sp.times, observed.times, 1.0)
-    saved = diffs.copy(), owner.copy()
+    diffs, order, _ = PairTable(sp.times, 1.0).ranked(observed.times)
+    saved = diffs.copy(), order.copy()
     pw.simulate_null_stats(sp, m, idx, 2000, window, 2)
     pw.estimate_coefficients(sp, observed, idx)
-    assert np.array_equal(diffs, saved[0]) and np.array_equal(owner, saved[1])
+    assert np.array_equal(diffs, saved[0]) and np.array_equal(order, saved[1])
 
 
 @pytest.mark.parametrize("name", ["Data_0", "Data_80"])

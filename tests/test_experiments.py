@@ -44,9 +44,17 @@ def test_config_validation():
         dict(workers=0),
         dict(workers=-3),
         dict(master_seed=-1),
+        dict(R=1.5),  # counts must be integers, not floats or bools
+        dict(R=12.0),
+        dict(R=True),
+        dict(B=100.0),
+        dict(j0=3.0),
+        dict(master_seed=7.0),
+        dict(workers=1.0),
     ):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+    assert tiny_config(R=np.int64(12), B=np.int32(100), workers=np.int8(1)).R == 12
 
 
 def test_config_rejects_horizon_within_the_delay_grid():

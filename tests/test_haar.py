@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 
 import ppwave as pw
 from ppwave import coefficients
-from ppwave.coefficients import _pair_slot_counts, _row_base, _slot_positions
+from ppwave.coefficients import _buffer, _pair_slot_counts, _slot_positions
 from ppwave.process import PairTable
 
 SQRT2 = math.sqrt(2.0)
@@ -116,6 +117,10 @@ def test_index_set_cardinalities():
     assert pw.IndexSet(3, pw.NONNEG).size == 15  # the 15 single tests
     with pytest.raises(ValueError):
         pw.IndexSet(3, "sideways")
+    for j0 in (1.0, 2.5, True):
+        with pytest.raises(ValueError):
+            pw.IndexSet(j0)
+    assert pw.IndexSet(np.int64(3)).size == ids.size
     with pytest.raises(ValueError):
         pw.WaveletIndex(-1, 0)
 
@@ -238,6 +243,6 @@ def test_slot_machinery_covers_unit_interval():
     assert len(pos) == 2 ** (3 + 3) + 1
     table = PairTable(np.array([0.0]), 2.0**4)  # in units of the finest slot
     samples = np.ldexp(np.array([[-1.0, 1.0, 0.5]]), 4)
-    counts = _pair_slot_counts(table, samples, 3, _row_base(np.empty((1, 3), int), 3))
+    counts = _pair_slot_counts(table, samples, 3, partial(_buffer, {}))
     assert counts.sum() == 3  # endpoints included, grid hits take even slots
     assert counts[0, 0] == 1 and counts[0, -1] == 1

@@ -68,6 +68,26 @@ def test_every_export_has_a_user():
     assert unused == []
 
 
+def test_every_export_has_a_caller_outside_tests():
+    # an exported name must be loaded, as a name or an attribute, by code
+    # outside the tests: the package itself, a script or the benchmark. A
+    # name only tests call is dead code
+    root = Path(__file__).resolve().parents[1]
+    loaded = set()
+    for top in (PACKAGE, root / "scripts", root / "perfbench"):
+        for path in top.rglob("*.py"):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
+                if isinstance(node, ast.Name):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    loaded.add(node.attr)
+    assert sorted(set(ppwave.__all__) - loaded) == []
+
+
 def test_import_loads_no_process_pool():
     # the process pool is imported where a run uses more than one worker, so
     # an import of ppwave, paid by every CLI call and benchmark set-up, loads

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppwave as pw
+from ppwave.coefficients import _buffer
 from ppwave.process import PairTable
 
 
@@ -139,6 +141,24 @@ def test_interaction_model_validation():
             pw.InteractionModel(mu_p=50, mu_c=20, theta=0, nu=0, T=T)
 
 
+def differences(table, values, scratch=None):
+    """The candidate pairs of table.ranked, value by value: (diffs, owner).
+
+    Pair p is values[owner[p]] - anchor, owner is nondecreasing, and each
+    value's candidates take its anchors in ascending order. Both arrays are
+    new.
+    """
+    diffs, order, sizes = table.ranked(values, scratch)
+    owner = np.concatenate([order[:size] for size in sizes] + [order[:0]])
+    by_value = np.argsort(owner, kind="stable")
+    return diffs[by_value], owner[by_value]
+
+
+def pair_differences(anchors, values, reach):
+    """differences of a one-lookup table."""
+    return differences(PairTable(anchors, reach), values)
+
+
 @st.composite
 def pair_problems(draw):
     """Anchors (with ties) and values placed uniformly, on the dyadic grid of
@@ -165,7 +185,7 @@ def pair_problems(draw):
 @settings(max_examples=300, deadline=None)
 def test_pair_differences_cover_every_pair_within_reach(problem):
     anchors, values, reach = problem
-    diffs, owner = pw.pair_differences(anchors, values, reach)
+    diffs, owner = pair_differences(anchors, values, reach)
     assert diffs.shape == owner.shape
     assert np.all(np.diff(owner) >= 0)
     assert np.all((owner >= 0) & (owner < values.size))
@@ -192,10 +212,12 @@ def test_pair_differences_cover_every_pair_within_reach(problem):
 @settings(max_examples=150, deadline=None)
 def test_one_table_serves_many_lookups(problem):
     # the kernel builds the cell table once per call and looks up each row
-    # block: lookups of growing, shrinking, reversed (strided) and empty value
-    # sets on one table equal one pair_differences call each, bit for bit
+    # block in buffers it keeps: lookups of growing, shrinking, reversed
+    # (strided) and empty value sets on one table and one kept allocator
+    # equal one lookup of a fresh table each, bit for bit
     anchors, values, reach = problem
     table = PairTable(anchors, reach)
+    scratch = partial(_buffer, {})
     lookups = (
         values,
         values[: values.size // 2],
@@ -205,8 +227,8 @@ def test_one_table_serves_many_lookups(problem):
         values,
     )
     for v in lookups:
-        diffs, owner = table.differences(v)
-        expected = pw.pair_differences(anchors, v, reach)
+        diffs, owner = differences(table, v, scratch)
+        expected = pair_differences(anchors, v, reach)
         assert np.array_equal(diffs, expected[0])
         assert np.array_equal(owner, expected[1])
         assert diffs.dtype == np.float64 and owner.dtype == np.intp
@@ -217,5 +239,5 @@ def test_pair_differences_empty_inputs():
     nonfinite = [np.nan, np.inf, -np.inf]
     for anchors, values in (([], [0.5]), ([0.5], []), ([], []), ([0.5], nonfinite)):
         anchors, values = np.asarray(anchors, float), np.asarray(values, float)
-        diffs, owner = pw.pair_differences(anchors, values, 1.0)
+        diffs, owner = pair_differences(anchors, values, 1.0)
         assert diffs.size == owner.size == 0
