@@ -70,7 +70,9 @@ class TestConfig:
             raise ValueError("B must be an even integer >= 2")
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
-        self.index_set  # IndexSet validates j0 and side
+        object.__setattr__(self, "B", int(self.B))
+        # IndexSet validates j0 and side, and stores j0 as an int
+        object.__setattr__(self, "j0", self.index_set.j0)
 
     @cached_property
     def index_set(self) -> IndexSet:
@@ -157,14 +159,19 @@ def empirical_quantile(column, p: float) -> float:
     return float(_thresholds(col[:, None], np.array([p]))[0])
 
 
+def _ranks(probs, n: int) -> np.ndarray:
+    """Threshold ranks n - floor(probs * n) among n values: the one rank rule."""
+    return n - np.floor(probs * n).astype(np.int64)
+
+
 def _thresholds(sorted_cols: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Per-column conditional quantiles at per-column tail probabilities.
 
-    Column c gets its order statistic of rank n - floor(probs[c] * n), and
-    -inf at rank 0, a value below every observation.
+    Column c gets its order statistic of rank _ranks(probs[c], n), and -inf
+    at rank 0, a value below every observation.
     """
     n = sorted_cols.shape[0]
-    ranks = n - np.floor(probs * n).astype(np.int64)
+    ranks = _ranks(probs, n)
     safe = np.clip(ranks - 1, 0, n - 1)
     out = sorted_cols[safe, np.arange(sorted_cols.shape[1])]
     return np.where(ranks <= 0, -np.inf, out)
@@ -174,7 +181,7 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
     """Largest u in [alpha; 1] with any-index rejection rate <= alpha, else alpha.
 
     A calibration value with c quantile-half values below it exceeds its
-    threshold _thresholds(quantile half, u e^-w) iff n - floor(u e^-w n) <= c,
+    threshold _thresholds(quantile half, u e^-w) iff _ranks(u e^-w, n) <= c,
     so from its critical level on: the least float u where that holds. A row
     rejects from its least level. The result, the exact supremum that the
     paper's dichotomy approximates, is the largest float below the (k+1)-th
@@ -197,15 +204,11 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
     values, d = calib[rows, cols], damping[cols]
     groups = np.split(values, np.searchsorted(cols, np.arange(1, size)))
     c = np.concatenate([np.searchsorted(q, v) for q, v in zip(sorted_q.T, groups)])
-
-    def rank(u):  # the threshold's rank at u, as _thresholds computes it
-        return n - np.floor(u * d * n)
-
     # A value above every quantile-half value (c = n) rejects at any u: level 0.
     level = np.divide(n - c, d * n, out=np.zeros(len(c)), where=c < n)
-    while (down := (level > 0) & (rank(np.nextafter(level, 0.0)) <= c)).any():
+    while (down := (level > 0) & (_ranks(np.nextafter(level, 0.0) * d, n) <= c)).any():
         level[down] = np.nextafter(level[down], 0.0)
-    while (up := rank(level) > c).any():
+    while (up := _ranks(level * d, n) > c).any():
         level[up] = np.nextafter(level[up], 1.0)
     row_level = np.full(n, np.inf)
     np.minimum.at(row_level, rows, level)

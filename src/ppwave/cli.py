@@ -14,6 +14,7 @@ from .baselines import gaue_grid, gaue_test, ks_test
 from .coefficients import estimate_coefficients
 from .experiments import (
     LEVEL_DATASETS,
+    METHODS,
     POWER_DATASETS,
     ExperimentConfig,
     run_level_experiment,
@@ -67,7 +68,7 @@ def _add_test(sub):
     p = sub.add_parser("test", help="test h = 0 on event files")
     p.add_argument("--parents", required=True, help="parent events on [0; T]")
     p.add_argument("--children", required=True)
-    p.add_argument("--method", choices=("wavelet", "ks", "gaue"), default="wavelet")
+    p.add_argument("--method", choices=METHODS, default="wavelet")
     p.add_argument("--alpha", type=float, default=TestConfig.alpha)
     p.add_argument("--j0", type=int, default=TestConfig.j0)
     p.add_argument("--side", choices=(TWO_SIDED, NONNEG), default=TestConfig.side)
@@ -85,9 +86,8 @@ def _add_test(sub):
 
 def _cmd_test(args) -> int:
     seed = _seed(args)
-    cfg = TestConfig(
-        alpha=args.alpha, j0=args.j0, side=args.side, B=args.B, scale=args.scale
-    )
+    fields = dataclasses.fields(TestConfig)  # each stored under its field's name
+    cfg = TestConfig(**{f.name: getattr(args, f.name) for f in fields})
     parents = read_events(args.parents)
     children = read_events(args.children)
     T = parent_horizon(parents)
@@ -174,15 +174,16 @@ def _add_experiment(sub, name):
     help_text, _, _, _, paper_R = _EXPERIMENTS[name]
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", help="JSON file of ExperimentConfig fields")
+    # Each ExperimentConfig flag is stored under its field's name.
     p.add_argument("--R", type=int)
     p.add_argument("--B", type=int)
     p.add_argument("--j0", type=int)
     p.add_argument("--side", choices=(TWO_SIDED, NONNEG))
     p.add_argument("--T", type=float)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, dest="master_seed")
     p.add_argument("--datasets", nargs="+", choices=DATASET_NAMES)
-    p.add_argument("--methods", nargs="+", choices=("wavelet", "ks", "gaue"))
+    p.add_argument("--methods", nargs="+", choices=METHODS)
     p.add_argument("--workers", type=int)
     p.add_argument(
         "--paper-scale",
@@ -194,8 +195,11 @@ def _add_experiment(sub, name):
 
 
 def _experiment_config(args, kind: str) -> ExperimentConfig:
+    """The command's preset, then the --config file, then the flags; later wins."""
     _, _, datasets, R, paper_R = _EXPERIMENTS[kind]
     fields: dict = {"datasets": datasets, "R": R}
+    if args.paper_scale:
+        fields.update(R=paper_R, B=TestConfig.B)
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -205,29 +209,16 @@ def _experiment_config(args, kind: str) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}")
         for key, value in loaded.items():
-            kind, valid = _CONFIG_TYPES[key]
+            expected, valid = _CONFIG_TYPES[key]
             if not valid(value):
-                raise ValueError(f"{args.config}: {key} must be {kind}")
-            fields[key] = tuple(value) if isinstance(value, list) else value
-    if args.paper_scale:
-        fields["R"] = paper_R
-        fields["B"] = TestConfig.B
-    overrides = {
-        "R": args.R,
-        "B": args.B,
-        "j0": args.j0,
-        "side": args.side,
-        "T": args.T,
-        "alpha": args.alpha,
-        "master_seed": args.seed,
-        "workers": args.workers,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if args.datasets:
-        fields["datasets"] = tuple(args.datasets)
-    if args.methods:
-        fields["methods"] = tuple(args.methods)
-    return ExperimentConfig(**fields)
+                raise ValueError(f"{args.config}: {key} must be {expected}")
+        fields.update(loaded)
+    for name in _CONFIG_TYPES:
+        if (value := getattr(args, name, None)) is not None:
+            fields[name] = value
+    return ExperimentConfig(
+        **{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()}
+    )
 
 
 def _cmd_experiment(args) -> int:

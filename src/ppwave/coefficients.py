@@ -15,13 +15,14 @@ generator just before it is used, so the (B, m) draws are never held. One
 loop walks the rows in fixed-size blocks, in any order within a row. The
 parents' cell table (process.PairTable) is built once per call and holds no
 buffers: the kernel owns every array a block works in, the samples and the
-table's lookup arrays included, in one workspace kept between calls. The
-kernel works in units of the finest slot, 2^-(j0+1), into which parents and
-samples are scaled exactly. Per block, the table's lookup gives the pairs
-rank by rank, their integer dyadic-slot counts (which no enumeration order
-can change) give S through each wavelet's signs, and the correction takes
-one bincount over every level's (row, j, k) bins. The wavelet family and
-its closed forms come from haar.py.
+table's lookup arrays included, in a workspace kept between calls, one per
+concurrent call. The kernel works in units of the finest slot, 2^-(j0+1),
+into which parents and samples are scaled exactly. Per block, the table's
+lookup gives the pairs rank by rank, their integer dyadic-slot counts
+(which no enumeration order can change) give S through each wavelet's
+signs, and the correction takes one bincount over every level's (row, j, k)
+bins, the family's own columns. The wavelet family and its closed forms
+come from haar.py.
 """
 
 from __future__ import annotations
@@ -141,29 +142,29 @@ def _shift_mean_sums(T: float, idx: IndexSet):
     """sums(block): (rows, idx.size) sums of uniform_shift_mean(index, x, T).
 
     sums adds over each row of block, whose values x are in units of
-    2^-(j0+1), as the kernel's samples. One
-    bincount covers every level j <= j0. Clipped to [-1; 1], where each tent
-    of the family is zero, a term at t meets one two-sided support per
-    level, k = min(floor(2^j t), 2^j - 1). x adds its tent / T and x - T
-    subtracts its own in (row, j, k) bins, in row-major value order, so an
-    index's sums depend neither on the family nor on the other rows. Where x
-    and x - T meet one support, their terms are added apart rather than
+    2^-(j0+1), as the kernel's samples. One bincount covers every level
+    j <= j0, straight into the family's columns. Clipped to [lo; 1], the
+    family's support (lo = -1 for two-sided families, 0 for nonneg ones),
+    a term at t meets one support of the family per level,
+    k = min(floor(2^j t), 2^j - 1). x adds its tent / T and x - T subtracts
+    its own in (row, j, k) bins, in row-major value order, so an index's
+    sums depend neither on the family nor on the other rows. Where x and
+    x - T meet one support, their terms are added apart rather than
     differenced first as in uniform_shift_mean, so such sums agree with the
     per-index ones to a few ulp of 1/T per value; all others are identical.
     """
-    # The per-level constants, built once per call. The terms are
-    # haar_tent's bits: on the clipped range a tent is never negative, and
-    # its -0.0 where it is zero adds nothing to a bincount sum of +0.0.
+    # The per-level constants, built once per call. The terms are haar_tent's
+    # bits: on the clipped range a tent is never negative, and its signed zero
+    # where it is zero (a t clipped up to 0 too) adds nothing to a bincount sum.
     scale = 2.0 ** (idx.j0 + 1)
     near_lo, near_hi = scale, (T - 1.0) * scale
+    lo = idx.k_range(0).start
     j = np.arange(idx.j0 + 1, dtype=np.int32)[:, None, None]  # int32: ldexp's fast path
     k_max = 2**j - 1
     height = -(2.0 ** (-0.5 * j))
     divisor = np.array([T, -T])  # x / (-T) is -(x / T), exactly
-    # Two-sided index (j, k) sits in column 2^(j+1) - 2 + (k + 2^j).
-    width = 2 ** (idx.j0 + 2) - 2
-    offset = 3 * 2**j - 2
-    columns = 3 * 2**idx.js - 2 + idx.ks
+    first = np.searchsorted(idx.js, j)  # level j's first column holds its lowest k
+    offset = first - idx.ks[first]  # index (j, k) sits in column offset_j + k
 
     def sums(block: np.ndarray) -> np.ndarray:
         n_rows, m = block.shape
@@ -171,16 +172,16 @@ def _shift_mean_sums(T: float, idx: IndexSet):
         # and some beyond, whose clipped terms are zero.
         near = np.flatnonzero((block <= near_lo) | (block >= near_hi))
         x = np.ldexp(block.ravel()[near], -(idx.j0 + 1))
-        t = np.clip(np.stack([x, x - T], axis=1), -1.0, 1.0)
+        t = np.clip(np.stack([x, x - T], axis=1), lo, 1.0)
         y = np.ldexp(t, j)
         k = np.minimum(np.floor(y), k_max)
         y -= k
         terms = np.minimum(y, 1.0 - y)
         terms *= height
         terms /= divisor
-        keys = (near // m * width)[:, None] + (offset + k).astype(np.intp)
-        out = np.bincount(keys.ravel(), terms.ravel(), minlength=n_rows * width)
-        return out.reshape(n_rows, width)[:, columns]
+        keys = (near // m * idx.size)[:, None] + (offset + k).astype(np.intp)
+        out = np.bincount(keys.ravel(), terms.ravel(), minlength=n_rows * idx.size)
+        return out.reshape(n_rows, idx.size)
 
     return sums
 

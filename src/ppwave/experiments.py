@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +26,7 @@ from .simulate import DATASET_NAMES, DatasetId, make_dataset
 
 __all__ = [
     "LEVEL_DATASETS",
+    "METHODS",
     "POWER_DATASETS",
     "ExperimentConfig",
     "ExperimentReport",
@@ -46,7 +47,7 @@ POWER_DATASETS = (
     "Data_80r",
 )
 
-_KNOWN_METHODS = ("wavelet", "ks", "gaue")
+METHODS = ("wavelet", "ks", "gaue")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class ExperimentConfig:
     """Everything a level/power run depends on; defaults are desk scale."""
 
     datasets: tuple[str, ...] = LEVEL_DATASETS
-    methods: tuple[str, ...] = _KNOWN_METHODS
+    methods: tuple[str, ...] = METHODS
     alpha: float = 0.05
     R: int = 1000
     B: int = 2000
@@ -66,12 +67,13 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        counts = {"R": self.R, "master_seed": self.master_seed}
-        if self.workers is not None:
-            counts["workers"] = self.workers
-        for name, value in counts.items():
+        for name in ("R", "master_seed", "workers"):
+            value = getattr(self, name)
+            if value is None and name == "workers":
+                continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.R < 1:
             raise ValueError("R must be >= 1")
         if not 0 < self.T < math.inf:
@@ -80,12 +82,14 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.test_config  # TestConfig validates alpha, B, j0, side and scale
+        # TestConfig validates alpha, B, j0, side and scale, and stores int counts
+        for name in ("B", "j0"):
+            object.__setattr__(self, name, getattr(self.test_config, name))
         for name in self.datasets:
             DatasetId(name)
-        unknown = set(self.methods) - set(_KNOWN_METHODS)
+        unknown = set(self.methods) - set(METHODS)
         if unknown or not self.methods:
-            raise ValueError(f"methods must be a nonempty subset of {_KNOWN_METHODS}")
+            raise ValueError(f"methods must be a nonempty subset of {METHODS}")
         if "gaue" in self.methods and self.T <= max(DELTA_GRID):
             raise ValueError(
                 f"T = {self.T} must exceed the largest gaue delay {max(DELTA_GRID)}"
@@ -94,9 +98,7 @@ class ExperimentConfig:
     @cached_property
     def test_config(self) -> TestConfig:
         """The per-replicate test configuration (a derived value, not a field)."""
-        return TestConfig(
-            alpha=self.alpha, j0=self.j0, side=self.side, B=self.B, scale=self.scale
-        )
+        return TestConfig(**{f.name: getattr(self, f.name) for f in fields(TestConfig)})
 
 
 @dataclass(frozen=True)

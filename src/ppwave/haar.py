@@ -71,6 +71,7 @@ class IndexSet:
             raise ValueError(f"j0 must be an integer, got {self.j0!r}")
         if self.j0 < 0:
             raise ValueError("j0 must be >= 0")
+        object.__setattr__(self, "j0", int(self.j0))
         if self.side not in (TWO_SIDED, NONNEG):
             raise ValueError(f"side must be {TWO_SIDED!r} or {NONNEG!r}")
 

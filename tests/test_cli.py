@@ -267,10 +267,33 @@ def test_power_command_flags(tmp_path, capsys):
         "9",
         "--workers",
         "1",
+        "--j0",
+        "2",
+        "--side",
+        "nonneg",
+        "--alpha",
+        "0.1",
+        "--out",
+        str(tmp_path / "power.csv"),
     )
     lines = out.strip().split("\n")
     assert len(lines) == 2
     assert lines[1].startswith("Data_80,wavelet,")
+    # every flag reaches the ExperimentConfig field of its name
+    config = json.loads((tmp_path / "power.json").read_text())["config"]
+    expected = dict(
+        datasets=["Data_80"],
+        methods=["wavelet"],
+        R=5,
+        B=100,
+        T=1.0,
+        master_seed=9,
+        workers=1,
+        j0=2,
+        side="nonneg",
+        alpha=0.1,
+    )
+    assert {name: config[name] for name in expected} == expected
 
 
 def test_paper_scale_preset_plumbing():

@@ -54,7 +54,19 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             tiny_config(**bad)
-    assert tiny_config(R=np.int64(12), B=np.int32(100), workers=np.int8(1)).R == 12
+    # numpy integers are accepted and stored as int, as JSON needs them
+    counts = dict(
+        R=np.int64(12), B=np.int32(100), j0=np.int64(2), master_seed=np.int64(7),
+        workers=np.int8(1),
+    )
+    cfg = tiny_config(**counts)
+    assert cfg.R == 12
+    for name in counts:
+        assert type(getattr(cfg, name)) is int, name
+    assert type(cfg.test_config.B) is int and type(cfg.test_config.j0) is int
+    assert type(pw.TestConfig(B=np.int64(200)).B) is int
+    assert type(pw.TestConfig(j0=np.int64(2)).j0) is int
+    assert type(pw.IndexSet(np.int64(2)).j0) is int
 
 
 def test_config_rejects_horizon_within_the_delay_grid():
@@ -112,6 +124,22 @@ def test_report_json_sidecar_roundtrip(tmp_path):
     assert payload["rows"][0]["dataset"] == "Data_0"
     assert "wall_time_s" in payload
     assert open(csv_path).read() == report.to_csv()
+
+
+def test_report_json_with_numpy_counts(tmp_path):
+    cfg = tiny_config(
+        R=np.int64(2), B=np.int32(100), j0=np.int64(2), master_seed=np.int64(7),
+        workers=np.int64(1), methods=("wavelet", "ks"),
+    )
+    report = pw.run_level_experiment(cfg)
+    _, json_path = pw.write_report(report, str(tmp_path / "out.csv"))
+    config = json.loads(open(json_path).read())["config"]
+    assert {k: config[k] for k in ("R", "B", "j0", "master_seed", "workers")} == {
+        "R": 2, "B": 100, "j0": 2, "master_seed": 7, "workers": 1
+    }
+    assert pw.ExperimentConfig(
+        **{k: tuple(v) if isinstance(v, list) else v for k, v in config.items()}
+    ) == cfg
 
 
 def test_thread_count_does_not_change_report():
