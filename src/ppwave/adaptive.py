@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import estimate_coefficients, null_coefficient_matrix
-from .haar import TWO_SIDED, IndexSet, WaveletIndex
+from .haar import TWO_SIDED, IndexSet, WaveletIndex, as_number
 from .process import EventTrain, Window, scale_clip
 from .simulate import as_generator
 
@@ -53,7 +53,10 @@ def aggregation_weights(idx: IndexSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Knobs of the aggregated test; B=2000 is the desk-scale override."""
+    """Knobs of the aggregated test; B=2000 is the desk-scale override.
+
+    Stores alpha and scale as float, j0 and B as int (see haar.as_number).
+    """
 
     alpha: float = 0.05
     j0: int = 3
@@ -62,15 +65,14 @@ class TestConfig:
     scale: float = 50.0
 
     def __post_init__(self):
+        for name, kind in (("alpha", float), ("B", int), ("scale", float)):
+            object.__setattr__(self, name, as_number(name, getattr(self, name), kind))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0; 1)")
-        if isinstance(self.B, bool) or not isinstance(self.B, (int, np.integer)):
-            raise ValueError(f"B must be an integer, got {self.B!r}")
         if self.B < 2 or self.B % 2:
             raise ValueError("B must be an even integer >= 2")
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
-        object.__setattr__(self, "B", int(self.B))
         # IndexSet validates j0 and side, and stores j0 as an int
         object.__setattr__(self, "j0", self.index_set.j0)
 
@@ -130,8 +132,9 @@ def simulate_null_stats(
     Each row b holds |beta_hat| computed from (parents, V^b) where V^b is an
     m-sample of uniforms on obs; m = 0 degenerates to all-zero rows. The rows
     are those of one (B, m) draw as_generator(seed).uniform(obs.lo, obs.hi),
-    drawn one row block at a time.
+    drawn one row block at a time. B (even, >= 2) and m (>= 0) are integers, no bools.
     """
+    B, m = as_number("B", B, int), as_number("m", m, int)
     if B < 2 or B % 2:
         raise ValueError("B must be an even integer >= 2")
     if m < 0:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adaptive import TestConfig, run_multiple_test
 from .baselines import DELTA_GRID, gaue_grid, ks_test
-from .haar import TWO_SIDED
+from .haar import TWO_SIDED, as_number
 from .process import conditioning_window
 from .simulate import DATASET_NAMES, DatasetId, make_dataset
 
@@ -52,7 +52,11 @@ METHODS = ("wavelet", "ks", "gaue")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a level/power run depends on; defaults are desk scale."""
+    """Everything a level/power run depends on; defaults are desk scale.
+
+    Stores datasets and methods as tuples, T as float, R, master_seed and
+    workers as int (or None), the TestConfig fields as TestConfig does.
+    """
 
     datasets: tuple[str, ...] = LEVEL_DATASETS
     methods: tuple[str, ...] = METHODS
@@ -67,13 +71,9 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        for name in ("R", "master_seed", "workers"):
-            value = getattr(self, name)
-            if value is None and name == "workers":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        counts = ("R", "master_seed") + ("workers",) * (self.workers is not None)
+        for name, kind in [("T", float)] + [(name, int) for name in counts]:
+            object.__setattr__(self, name, as_number(name, getattr(self, name), kind))
         if self.R < 1:
             raise ValueError("R must be >= 1")
         if not 0 < self.T < math.inf:
@@ -82,14 +82,15 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # TestConfig validates alpha, B, j0, side and scale, and stores int counts
-        for name in ("B", "j0"):
-            object.__setattr__(self, name, getattr(self.test_config, name))
-        for name in self.datasets:
-            DatasetId(name)
-        unknown = set(self.methods) - set(METHODS)
-        if unknown or not self.methods:
-            raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        # TestConfig validates its fields and stores their canonical values
+        for f in fields(TestConfig):
+            object.__setattr__(self, f.name, getattr(self.test_config, f.name))
+        for name, known in (("datasets", DATASET_NAMES), ("methods", METHODS)):
+            names = getattr(self, name)
+            valid = isinstance(names, (list, tuple)) and all(n in known for n in names)
+            if not valid or not names or len(set(names)) < len(names):
+                raise ValueError(f"{name} must be one or more of {known}, each once")
+            object.__setattr__(self, name, tuple(names))
         if "gaue" in self.methods and self.T <= max(DELTA_GRID):
             raise ValueError(
                 f"T = {self.T} must exceed the largest gaue delay {max(DELTA_GRID)}"

@@ -4,7 +4,8 @@ This module owns the indices (WaveletIndex, IndexSet) and the exact
 pointwise formulas: the sign and amplitude of each wavelet, its value, its
 antiderivative and its mean under a uniform shift. The estimator built on
 them (dyadic-slot pair sums and the shift-mean correction) lives in
-coefficients.py.
+coefficients.py. as_number, the type rule of every numeric setting, lives
+here because IndexSet, the innermost config, is the first to apply it.
 
 The mother wavelet is psi = 1_(1/2;1] - 1_[0;1/2], dilated/translated as
 phi_(j,k)(x) = 2^(j/2) psi(2^j x - k). The half-open conventions matter: a
@@ -38,6 +39,15 @@ TWO_SIDED = "two_sided"
 NONNEG = "nonneg"
 
 
+def as_number(name: str, value, kind: type):
+    """The one type rule of numeric settings: value (numpy too, no bool) as kind."""
+    types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, types):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True, order=True)
 class WaveletIndex:
     """Resolution/translation pair (j, k), j >= 0."""
@@ -67,11 +77,9 @@ class IndexSet:
     side: str = TWO_SIDED
 
     def __post_init__(self):
-        if isinstance(self.j0, bool) or not isinstance(self.j0, (int, np.integer)):
-            raise ValueError(f"j0 must be an integer, got {self.j0!r}")
+        object.__setattr__(self, "j0", as_number("j0", self.j0, int))
         if self.j0 < 0:
             raise ValueError("j0 must be >= 0")
-        object.__setattr__(self, "j0", int(self.j0))
         if self.side not in (TWO_SIDED, NONNEG):
             raise ValueError(f"side must be {TWO_SIDED!r} or {NONNEG!r}")
 

@@ -133,15 +133,16 @@ def test_null_stats_shape_and_split():
     assert nulls.stats.shape == (4, idx.size)
     assert nulls.quantile_half.shape == (2, idx.size)
     assert nulls.calibration_half.shape == (2, idx.size)
-    with pytest.raises(ValueError):
-        pw.simulate_null_stats(
-            parents,
-            5,
-            idx,
-            3,
-            pw.Window(-1.0, 3.0),
-            np.random.SeedSequence(3, spawn_key=(0,)),
-        )
+    for m, B in ((5, 3), (5, 200.0), (3.0, 4), (True, 4), (5, True)):
+        with pytest.raises(ValueError):
+            pw.simulate_null_stats(
+                parents,
+                m,
+                idx,
+                B,
+                pw.Window(-1.0, 3.0),
+                np.random.SeedSequence(3, spawn_key=(0,)),
+            )
     for bad in (-1.0, np.nan):
         stats = nulls.stats.copy()
         stats[1, 0] = bad
@@ -375,11 +376,16 @@ def test_config_validation():
         dict(B=200.0),  # counts must be integers, not integral floats
         dict(j0=2.0),
         dict(B=True),
+        dict(alpha="0.05"),  # reals must be numbers, not strings, None or bools
+        dict(alpha=None),
+        dict(scale=True),
     ):
         with pytest.raises(ValueError):
             pw.TestConfig(**bad)
     assert pw.TestConfig(j0=2, side=pw.NONNEG).index_set == pw.IndexSet(2, pw.NONNEG)
     assert pw.TestConfig(j0=np.int64(2), B=np.int32(200)).index_set == pw.IndexSet(2)
+    cfg = pw.TestConfig(alpha=np.float32(0.05), scale=np.float64(50.0))
+    assert type(cfg.alpha) is float and type(cfg.scale) is float
 
 
 def test_outcome_deterministic_and_consistent():

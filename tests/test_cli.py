@@ -156,6 +156,18 @@ INVALID_INVOCATIONS = {
         "test --parents {p} --children {c} --method gaue --delta 5",
         "delta must lie in (0; T)",
     ),
+    "delta-without-gaue": (
+        "test --parents {p} --children {c} --delta 0.01",
+        "--delta applies only to --method gaue",
+    ),
+    "coeffs-only-ks": (
+        "test --parents {p} --children {c} --coeffs-only --method ks",
+        "--coeffs-only applies only to --method wavelet",
+    ),
+    "coeffs-only-gaue": (
+        "test --parents {p} --children {c} --coeffs-only --method gaue",
+        "--coeffs-only applies only to --method wavelet",
+    ),
     "ks-alpha": (
         "test --parents {p} --children {c} --method ks --alpha 1.5",
         "alpha must lie in (0; 1)",
@@ -247,6 +259,10 @@ def test_level_command_with_config_and_out(tmp_path, capsys):
     assert written == out
     sidecar = json.loads(open(str(tmp_path / "level.json")).read())
     assert sidecar["config"]["B"] == 100
+    # the sidecar's config is itself a --config file for the same run
+    sidecar_path = tmp_path / "sidecar.json"
+    sidecar_path.write_text(json.dumps(sidecar["config"]))
+    assert run_cli(capsys, "level", "--config", str(sidecar_path)) == out
 
 
 def test_power_command_flags(tmp_path, capsys):

@@ -51,6 +51,16 @@ def test_config_validation():
         dict(j0=3.0),
         dict(master_seed=7.0),
         dict(workers=1.0),
+        dict(alpha="0.05"),  # reals must be numbers, not strings, None or bools
+        dict(alpha=None),
+        dict(scale=True),
+        dict(T=True),
+        dict(T="2"),
+        dict(datasets="Data_0"),  # names: a list or tuple of distinct known names
+        dict(datasets=[5]),
+        dict(datasets=[]),
+        dict(methods=("ks", "ks")),
+        dict(datasets=("Data_0", "Data_0")),
     ):
         with pytest.raises(ValueError):
             tiny_config(**bad)
@@ -65,6 +75,11 @@ def test_config_validation():
         assert type(getattr(cfg, name)) is int, name
     assert type(cfg.test_config.B) is int and type(cfg.test_config.j0) is int
     assert type(pw.TestConfig(B=np.int64(200)).B) is int
+    # numpy reals are accepted and stored as float
+    reals = dict(alpha=np.float32(0.05), T=np.float32(2.0), scale=np.float64(50.0))
+    cfg = tiny_config(**reals)
+    for name in reals:
+        assert type(getattr(cfg, name)) is float, name
     assert type(pw.TestConfig(j0=np.int64(2)).j0) is int
     assert type(pw.IndexSet(np.int64(2)).j0) is int
 
@@ -129,7 +144,8 @@ def test_report_json_sidecar_roundtrip(tmp_path):
 def test_report_json_with_numpy_counts(tmp_path):
     cfg = tiny_config(
         R=np.int64(2), B=np.int32(100), j0=np.int64(2), master_seed=np.int64(7),
-        workers=np.int64(1), methods=("wavelet", "ks"),
+        workers=np.int64(1), methods=["wavelet", "ks"], datasets=["Data_0"],
+        alpha=np.float32(0.05), T=np.float32(1.0), scale=np.float32(50.0),
     )
     report = pw.run_level_experiment(cfg)
     _, json_path = pw.write_report(report, str(tmp_path / "out.csv"))
@@ -137,9 +153,10 @@ def test_report_json_with_numpy_counts(tmp_path):
     assert {k: config[k] for k in ("R", "B", "j0", "master_seed", "workers")} == {
         "R": 2, "B": 100, "j0": 2, "master_seed": 7, "workers": 1
     }
-    assert pw.ExperimentConfig(
-        **{k: tuple(v) if isinstance(v, list) else v for k, v in config.items()}
-    ) == cfg
+    assert config["T"] == 1.0 and config["scale"] == 50.0
+    assert config["alpha"] == float(np.float32(0.05))
+    assert pw.ExperimentConfig(**config) == cfg
+    assert hash(pw.ExperimentConfig(**config)) == hash(cfg)
 
 
 def test_thread_count_does_not_change_report():
