@@ -14,9 +14,27 @@ Inputs (T=2, data seed 7, scaled x50, null seed 1): Data_80 (m=119) at
 B=20000 and Data_0 (m=35) at B=2000 with the two-sided j0=3 family, then
 Data_80 at B=20000 with the two-sided j0=6 family and at B=2000 with the
 nonneg j0=3 family. For each input it prints each tree's median call time
-over the timed pairs (after one untimed warm-up pair), the ratio
-this / other, and whether the two trees returned the same statistics bit
-for bit.
+over the timed pairs (after one untimed warm-up pair) next to its median
+process CPU time (time.process_time, every thread of the process), the
+ratio of the call times this / other, and whether the two trees returned
+the same statistics bit for bit.
+
+CPU time above wall time means a call ran on more than one CPU: the
+kernel's helper threads, or BLAS threads under the sign matmul (at j0=6
+both trees read about twice their wall time). Time the host takes away
+from the process shows in neither. A kernel with helpers can read a ratio
+near 1 in short runs: in episodes of a second or more, at a process's start
+or later, the OS kept the caller and its helper on one CPU for whole calls
+(/proc/thread-self/stat read after each block) while /proc/stat showed the
+other CPU idle. The call's CPU time then equals its wall time. A likely
+reason: the two threads mostly take turns holding the interpreter lock, so
+the scheduler rarely sees both runnable and does not move the helper. One
+such episode covered most of a 10-pair Data_80 B=20000 j0=3 case (about
+2.7 s; ratio 0.98, CPU 144 ms against wall 139 ms), while the next run, at
+25 pairs, read 0.62 (CPU 161 ms, wall 92 ms). The other tree's OpenBLAS
+pool is not the cause: both trees import the one numpy, so they share one
+pool, and at j0=3 neither tree's CPU time exceeds its wall time, so BLAS
+runs their sign matmuls on one thread.
 """
 
 import argparse
@@ -77,19 +95,23 @@ def main(argv=None):
         for name, pw in trees.items():
             m, calls[name] = null_call(pw, dataset, B, j0, side)
         times = {name: [] for name in trees}
+        cpu = {name: [] for name in trees}
         out = {}
         for pair in range(1 + args.pairs * per_unit):
             for name in list(trees)[:: 1 if pair % 2 else -1]:
-                start = time.perf_counter()
+                start, start_cpu = time.perf_counter(), time.process_time()
                 out[name] = calls[name]()
                 elapsed = time.perf_counter() - start
                 if pair:
                     times[name].append(elapsed)
+                    cpu[name].append(time.process_time() - start_cpu)
         median = {name: 1e3 * statistics.median(t) for name, t in times.items()}
+        median_cpu = {name: 1e3 * statistics.median(t) for name, t in cpu.items()}
         same = out["this"].tobytes() == out["other"].tobytes()
         print(
             f"{dataset} (m={m}) B={B} j0={j0} {side}, {len(times['this'])} pairs: "
-            f"other {median['other']:.2f} ms, this {median['this']:.2f} ms, "
+            f"other {median['other']:.2f} ms (cpu {median_cpu['other']:.2f}), "
+            f"this {median['this']:.2f} ms (cpu {median_cpu['this']:.2f}), "
             f"ratio {median['this'] / median['other']:.3f}, "
             f"identical statistics: {'yes' if same else 'NO'}"
         )

@@ -15,6 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .haar import as_number
 from .process import EventTrain, PairTable, Window, times_in
 
 __all__ = [
@@ -74,6 +75,7 @@ def ks_test(children: EventTrain, obs: Window, alpha: float) -> KsResult:
     m=120). ROADMAP.md plans the exact finite-m law. An empty train
     accepts with the no-information flag.
     """
+    alpha = as_number("alpha", alpha, float)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0; 1)")
     sel = times_in(children, obs)
@@ -97,6 +99,7 @@ def _gaue_results(
     a binary search in the sorted |differences|, so it matches brute-force
     pair enumeration exactly.
     """
+    T, alpha = as_number("T", T, float), as_number("alpha", alpha, float)
     if not all(0.0 < delta < T for delta in deltas):
         raise ValueError("delta must lie in (0; T)")
     if not 0.0 < alpha < 1.0:
@@ -140,6 +143,7 @@ def gaue_test(
     level near alpha; the upper branch alone sits near alpha/2. Empty trains
     accept outright.
     """
+    delta = as_number("delta", delta, float)
     return _gaue_results(parents, children, T, (delta,), alpha)[0]
 
 

@@ -12,21 +12,39 @@ extra Monte-Carlo noise). The observed train is the one-row case
 a given matrix, and the conditional null (null_coefficient_matrix) B rows
 of uniforms, drawn block by block: each row block is drawn from the one
 generator just before it is used, so the (B, m) draws are never held. One
-loop walks the rows in fixed-size blocks, in any order within a row. The
-parents' cell table (process.PairTable) is built once per call and holds no
-buffers: the kernel owns every array a block works in, the samples and the
-table's lookup arrays included, in a workspace kept between calls, one per
-concurrent call. The kernel works in units of the finest slot, 2^-(j0+1),
-into which parents and samples are scaled exactly. Per block, the table's
-lookup gives the pairs rank by rank, their integer dyadic-slot counts
-(which no enumeration order can change) give S through each wavelet's
-signs, and the correction takes one bincount over every level's (row, j, k)
-bins, the family's own columns. The wavelet family and its closed forms
-come from haar.py.
+loop walks the rows in fixed-size blocks, in any order within a row.
+
+The loop is a worker that the calling thread runs, and so do helper
+threads, up to the CPUs the process may use. Each worker takes the next row
+slice and draws it under one lock, so the draws leave a generator in row
+order and the statistics are the same bits for any worker count; it then
+computes that block outside the lock and writes its own rows. A helper joins
+only where the block geometry makes it pay (_workers): four blocks per
+worker, at least 2^13 draws per block, and a sign matmul small enough that
+BLAS keeps it on one thread. So B=20000 calls at j0=3 take helpers, while
+the four-block B=2000 calls of a level run and calls at j0 >= 4 with
+m < 131 run on the caller alone, as do the processes of the experiments'
+pool (use_one_cpu).
+An exception in any worker stops the others at their next block and is
+raised in the caller once every helper has joined.
+
+The parents' cell table (process.PairTable) is built once per call and holds
+no buffers: the kernel owns every array a block works in, the samples and
+the table's lookup arrays included, in a workspace kept between calls, one
+per worker, so its memory beyond the statistics is one block's buffers per
+worker. The kernel works in units of the finest slot, 2^-(j0+1), into which
+parents and samples are scaled exactly. Per block, the table's lookup gives
+the pairs rank by rank, their integer dyadic-slot counts (which no
+enumeration order can change) give S through each wavelet's signs, and the
+correction takes one bincount over every level's (row, j, k) bins, the
+family's own columns. The wavelet family and its closed forms come from
+haar.py.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -105,13 +123,14 @@ def _pair_slot_counts(
     # Row r's histogram takes the n_slots + 2 bins from r (n_slots + 2) on, a
     # trash bin at either end, so a pair in slot s of a value in row r (the
     # value at position order // m) falls in bin r (n_slots + 2) + edge + s.
-    base = np.floor_divide(order, m, out=scratch("base", order.size))
+    base = np.floor_divide(order, m, out=order)
     base *= n_slots + 2
     base += edge
     start = 0
     for size in sizes:  # rank o's values are the first sizes[o] in order
         keys[start : start + size] += base[:size]
         start += size
+    del base, order  # freed before the histogram is made
     counts = np.bincount(keys, minlength=n_rows * (n_slots + 2))
     return counts.reshape(n_rows, n_slots + 2)[:, 1:-1]
 
@@ -134,8 +153,8 @@ def _pair_sums(
     integers only (signs are -1/0/+1), so the result is exact up to the
     single final scaling, matching naive summation.
     """
-    counts = _pair_slot_counts(table, samples, idx.j0, scratch)
-    return (counts.astype(np.float64) @ signs) * haar_amplitude(idx.js)
+    counts = _pair_slot_counts(table, samples, idx.j0, scratch).astype(np.float64)
+    return (counts @ signs) * haar_amplitude(idx.js)
 
 
 def _shift_mean_sums(T: float, idx: IndexSet):
@@ -176,10 +195,14 @@ def _shift_mean_sums(T: float, idx: IndexSet):
         y = np.ldexp(t, j)
         k = np.minimum(np.floor(y), k_max)
         y -= k
-        terms = np.minimum(y, 1.0 - y)
+        # In place where it can be: each worker of a call holds these at once.
+        k += offset
+        keys = k.astype(np.intp)
+        keys += (near // m * idx.size)[:, None]
+        terms = np.subtract(1.0, y, out=k)  # k is used up
+        np.minimum(y, terms, out=terms)
         terms *= height
         terms /= divisor
-        keys = (near // m * idx.size)[:, None] + (offset + k).astype(np.intp)
         out = np.bincount(keys.ravel(), terms.ravel(), minlength=n_rows * idx.size)
         return out.reshape(n_rows, idx.size)
 
@@ -187,12 +210,39 @@ def _shift_mean_sums(T: float, idx: IndexSet):
 
 
 # Workspaces of the kernel, each a dict of the buffers of one row block: the
-# samples, the cell table's lookup arrays and the slot and key arrays. A call
-# takes one for its duration and hands it back, so the next call reuses
-# buffers already sized and touched for one row block; concurrent and
-# re-entrant calls each take their own, so one block's worth is kept per
-# concurrent call.
+# samples, the cell table's lookup arrays and the slot and key arrays. Each
+# worker of a call takes one for its duration and hands it back, so the next
+# call reuses buffers already sized and touched for one row block; workers of
+# concurrent and re-entrant calls each take their own, so one block's worth
+# is kept per worker that ever ran at once.
 _WORKSPACES: list[dict] = []
+
+# A helper thread joins a call only where it pays (timings on a 2-CPU host).
+# Each worker needs _HELPER_BLOCKS row blocks: with a helper on the 4-block
+# calls of a B=2000 level run, perfbench level_desk ran at 101 against 121
+# replicates/s and peaked at 49.8 against 44.8 MiB. A block needs
+# _HELPER_DRAWS draws: at 2520 draws a helper made the kernel 1.09x slower,
+# at 10080 0.95x, at 17640 0.83x. And a block's sign matmul, rows x slots x
+# |idx| multiply-adds, may not exceed _HELPER_MATMUL, above which OpenBLAS
+# runs it on threads of its own that a helper competes with: 1.14x slower at
+# 1.02 M (j0=4 nonneg), 1.26x at 8.2 M (j0=6). Two-sided j0=3 blocks have at
+# most 0.98 M.
+_HELPER_BLOCKS = 4
+_HELPER_DRAWS = 2**13
+_HELPER_MATMUL = 10**6
+
+# Set by use_one_cpu: this process's kernel calls start no helpers.
+_one_cpu = False
+
+
+def use_one_cpu() -> None:
+    """Keep every kernel call of this process on its calling thread.
+
+    A process pool whose processes already fill the CPUs runs it in each
+    of them, so that kernel helpers do not contend with the pool.
+    """
+    global _one_cpu
+    _one_cpu = True
 
 
 def _buffer(workspace: dict, name: str, size: int, dtype=np.intp) -> np.ndarray:
@@ -212,13 +262,28 @@ def _buffer(workspace: dict, name: str, size: int, dtype=np.intp) -> np.ndarray:
     return raw[: size * itemsize].view(dtype)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _workers(n_rows: int, step: int, m: int, signs: np.ndarray) -> int:
+    """Threads that walk a call's row blocks of step rows of m draws each."""
+    if _one_cpu or step * m < _HELPER_DRAWS or step * signs.size > _HELPER_MATMUL:
+        return 1
+    return max(1, min(_cpus(), -(-n_rows // step) // _HELPER_BLOCKS))
+
+
 def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):
     """(n_rows, idx.size) estimates of n_rows samples of m child times each.
 
     block(rows, out) fills the (block rows, m) buffer out with the samples of
     the row slice rows, in time units; it is called once per slice, in row
-    order, just before the slice is used. The kernel then scales them by
-    2^(j0+1), exactly.
+    order, just before the slice is used, under the lock of the call's
+    workers. The kernel then scales them by 2^(j0+1), exactly.
     """
     n = parents.count()
     if n == 0:
@@ -230,22 +295,47 @@ def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):
     out = np.empty((n_rows, idx.size))
     scale = 2.0 ** (idx.j0 + 1)
     table = PairTable(parents.times * scale, scale)
+    starts = iter(range(0, n_rows, step))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        try:
+            workspace = _WORKSPACES.pop()
+        except IndexError:
+            workspace = {}
+        scratch = partial(_buffer, workspace)
+        try:
+            while True:
+                with lock:
+                    start = n_rows if errors else next(starts, n_rows)
+                    if start == n_rows:
+                        return
+                    stop = min(start + step, n_rows)
+                    samples = scratch("samples", (stop - start) * m, np.float64)
+                    samples = samples.reshape(stop - start, m)
+                    block(slice(start, stop), samples)
+                samples *= scale
+                sums = _pair_sums(table, samples, idx, signs, scratch)
+                out[start:stop] = (sums - (n - 1) * correction(samples)) / n
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+        finally:
+            _WORKSPACES.append(workspace)
+
+    helpers = [
+        threading.Thread(target=work, name="ppwave-kernel")
+        for _ in range(_workers(n_rows, step, m, signs) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
     try:
-        workspace = _WORKSPACES.pop()
-    except IndexError:
-        workspace = {}
-    scratch = partial(_buffer, workspace)
-    try:
-        for start in range(0, n_rows, step):
-            stop = min(start + step, n_rows)
-            samples = scratch("samples", (stop - start) * m, np.float64)
-            samples = samples.reshape(stop - start, m)
-            block(slice(start, stop), samples)
-            samples *= scale
-            sums = _pair_sums(table, samples, idx, signs, scratch)
-            out[start:stop] = (sums - (n - 1) * correction(samples)) / n
+        work()
     finally:
-        _WORKSPACES.append(workspace)
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return out
 
 

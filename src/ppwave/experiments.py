@@ -20,6 +20,7 @@ import numpy as np
 
 from .adaptive import TestConfig, run_multiple_test
 from .baselines import DELTA_GRID, gaue_grid, ks_test
+from .coefficients import use_one_cpu
 from .haar import TWO_SIDED, as_number
 from .process import conditioning_window
 from .simulate import DATASET_NAMES, DatasetId, make_dataset
@@ -198,7 +199,8 @@ def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool fills the CPUs, so each process's kernel runs on one thread.
+        with ProcessPoolExecutor(workers, initializer=use_one_cpu) as pool:
             results = list(pool.map(_replicate, tasks, chunksize=chunk))
 
     report = ExperimentReport([], cfg, 0.0)

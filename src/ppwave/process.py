@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .haar import as_number
+
 __all__ = [
     "Window",
     "EventTrain",
@@ -27,12 +29,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Window:
-    """Closed time interval [lo; hi], lo < hi, both ends finite."""
+    """Closed time interval [lo; hi], lo < hi, both ends finite, stored as float."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, as_number(name, getattr(self, name), float))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"window ends must be finite, got [{self.lo}; {self.hi}]")
         if not self.lo < self.hi:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .haar import as_number
 from .process import EventTrain, InteractionModel, Window
 
 __all__ = [
@@ -48,9 +49,12 @@ DATASET_NAMES = tuple(_DATASETS)
 def as_generator(seed) -> np.random.Generator:
     """The one seed rule: an int, a SeedSequence or a Generator gives a Generator.
 
-    Anything else, None included, raises TypeError, so no call falls back to
-    OS entropy. A SeedSequence is copied, so one object passed twice gives equal draws.
+    Anything else, None and bools included, raises TypeError, so no call
+    falls back to OS entropy. A SeedSequence is copied, so one object passed
+    twice gives equal draws.
     """
+    if isinstance(seed, bool):
+        raise TypeError("cannot build a generator from bool")
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.SeedSequence):
@@ -149,7 +153,7 @@ def make_dataset(dataset: DatasetId, T: float, seed) -> tuple[EventTrain, EventT
     owns the rates. Both trains are in original (unscaled) time and draw from
     the two children of the seed's SeedSequence (Generator.spawn).
     """
-    model = dataset.model(T)
+    model = dataset.model(as_number("T", T, float))
     parent_rng, child_rng = as_generator(seed).spawn(2)
     parents = sim_homogeneous_poisson(model.mu_p, Window(0.0, model.T), parent_rng)
     children = sim_child_process(parents, model, seed=child_rng)

@@ -177,6 +177,19 @@ def test_gaue_validation():
         pw.gaue_test(parents, children, 2.0, 2.5, 0.05)
     with pytest.raises(ValueError):
         pw.gaue_test(parents, children, 2.0, 0.01, 1.5)
+    # each real argument takes the settings' type rule
+    for bad in (True, "0.05"):
+        calls = {
+            "T": lambda: pw.gaue_test(parents, children, bad, 0.01, 0.05),
+            "delta": lambda: pw.gaue_test(parents, children, 2.0, bad, 0.05),
+            "alpha": lambda: pw.gaue_test(parents, children, 2.0, 0.01, bad),
+            "grid T": lambda: pw.gaue_grid(parents, children, bad, 0.05),
+            "grid alpha": lambda: pw.gaue_grid(parents, children, 2.0, bad),
+            "ks alpha": lambda: pw.ks_test(children, children.window, bad),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"{name.split()[-1]} must be a number"):
+                call()
 
 
 def test_gaue_level_snapshot_under_null():

@@ -1,5 +1,7 @@
+import contextlib
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -337,6 +339,20 @@ def test_null_stats_match_the_uniform_matrix_at_the_default_block(j0):
     assert nulls.stats.tobytes() == expected.tobytes()
 
 
+@contextlib.contextmanager
+def counted_workers():
+    """Records the worker count of each kernel call made inside the block."""
+    counts = []
+    rule = coefficients._workers
+
+    def workers(*args):
+        counts.append(rule(*args))
+        return counts[-1]
+
+    with mock.patch.object(coefficients, "_workers", workers):
+        yield counts
+
+
 def test_kept_workspace_gives_the_bits_of_a_fresh_one():
     # one kept workspace serves a sequence of kernel calls whose parents, m
     # (0 to 595), j0, side, B and block size change, small calls following
@@ -362,15 +378,17 @@ def test_kept_workspace_gives_the_bits_of_a_fresh_one():
         null = pw.simulate_null_stats(sp, m, idx, B, window, B + j0).stats
         return null, pw.estimate_coefficients(sp, observed, idx).beta_hat
 
-    with mock.patch.object(coefficients, "_WORKSPACES", []) as workspaces:
-        for T, m, j0, side, B, block in calls:
-            with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
-                kept = kernel_calls(T, m, j0, side, B)
-                with mock.patch.object(coefficients, "_WORKSPACES", []):
-                    fresh = kernel_calls(T, m, j0, side, B)
-            for got, want in zip(kept, fresh):
-                assert got.tobytes() == want.tobytes()
-        assert len(workspaces) == 1  # one workspace served every call
+    with counted_workers() as workers:
+        with mock.patch.object(coefficients, "_WORKSPACES", []) as workspaces:
+            for T, m, j0, side, B, block in calls:
+                with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
+                    kept = kernel_calls(T, m, j0, side, B)
+                    with mock.patch.object(coefficients, "_WORKSPACES", []):
+                        fresh = kernel_calls(T, m, j0, side, B)
+                for got, want in zip(kept, fresh):
+                    assert got.tobytes() == want.tobytes()
+    # one workspace per worker served every call
+    assert 1 <= len(workspaces) <= max(workers)
 
 
 def test_concurrent_calls_take_their_own_workspace():
@@ -400,16 +418,91 @@ def test_concurrent_calls_take_their_own_workspace():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with mock.patch.object(coefficients, "_WORKSPACES", []) as workspaces:
-            with ThreadPoolExecutor(len(jobs)) as pool:
-                futures = [pool.submit(run, job, barrier) for job in jobs]
-                results = [f.result(timeout=120) for f in futures]
+        with counted_workers() as workers:
+            with mock.patch.object(coefficients, "_WORKSPACES", []) as workspaces:
+                with ThreadPoolExecutor(len(jobs)) as pool:
+                    futures = [pool.submit(run, job, barrier) for job in jobs]
+                    results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert 1 <= len(workspaces) <= len(jobs)  # at most one per concurrent call
+    # at most one per worker of each concurrent call
+    assert 1 <= len(workspaces) <= len(jobs) * max(workers)
     for got, want in zip(results, expected):
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 2**15),
+    st.integers(1, 400),
+    st.integers(0, 130),
+    st.integers(0, 3),
+    st.sampled_from([pw.TWO_SIDED, pw.NONNEG]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_statistics_identical_for_any_worker_count(
+    workers, block, half, m, j0, side, seed
+):
+    # the workers draw each block under one lock, in row order, and write
+    # their own rows, so 1 to 3 workers give the bits of one, for blocks of
+    # one row to 2^15 entries and row counts that are not a multiple of them
+    sp, _, window = scaled_inputs("Data_80", 1.0, seed % 97)
+    assume(sp.count() > 0)
+    idx = pw.IndexSet(j0, side)
+    stats = {}
+    with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
+        for count in (1, workers):
+            with mock.patch.object(coefficients, "_workers", lambda *args: count):
+                nulls = pw.simulate_null_stats(sp, m, idx, 2 * half, window, seed)
+            stats[count] = nulls.stats.tobytes()
+    assert stats[workers] == stats[1]
+
+
+class SlowGenerator(np.random.Generator):
+    """A Generator that sleeps before each draw, so unlocked draws interleave."""
+
+    def random(self, *args, **kwargs):
+        time.sleep(1e-3)
+        return super().random(*args, **kwargs)
+
+
+def test_user_generator_ends_where_one_worker_leaves_it():
+    # three workers on two or fewer CPUs, switching often, take the same
+    # draws from a caller's Generator as one worker: same statistics, same
+    # state afterwards
+    sp, observed, window = scaled_inputs("Data_80", 2.0)
+    m, idx = observed.count(), pw.IndexSet(3)
+    after = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 3):
+            gen = SlowGenerator(np.random.PCG64(11))
+            with mock.patch.object(coefficients, "_workers", lambda *args: workers):
+                stats = pw.simulate_null_stats(sp, m, idx, 2000, window, gen).stats
+            after[workers] = stats.tobytes(), gen.bit_generator.state
+    finally:
+        sys.setswitchinterval(interval)
+    assert after[3] == after[1]
+
+
+def test_failed_block_stops_the_call_and_returns_every_workspace():
+    # a NaN in a late row fails one worker's block: the caller raises the
+    # ValueError once every helper has joined, and each worker's workspace
+    # is back on the free list
+    sp, observed, window = scaled_inputs("Data_80", 2.0)
+    rng = np.random.default_rng(3)
+    draws = rng.uniform(window.lo, window.hi, (2000, observed.count()))
+    draws[1900, 5] = np.nan
+    workspaces = [{}, {}, {}]
+    with mock.patch.object(coefficients, "_WORKSPACES", list(workspaces)) as free:
+        with mock.patch.object(coefficients, "_workers", lambda *args: 3):
+            with pytest.raises(ValueError, match="finite"):
+                pw.coefficient_matrix(sp, draws, pw.IndexSet(3))
+    assert [t for t in threading.enumerate() if t.name == "ppwave-kernel"] == []
+    assert sorted(map(id, free)) == sorted(map(id, workspaces))
 
 
 def test_public_pair_results_outlive_kernel_calls():

@@ -1,9 +1,12 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import ppwave as pw
+from ppwave import coefficients
 
 
 def tiny_config(**kw):
@@ -163,6 +166,25 @@ def test_thread_count_does_not_change_report():
     a = pw.run_level_experiment(tiny_config(workers=1))
     b = pw.run_level_experiment(tiny_config(workers=3))
     assert a.to_csv() == b.to_csv()
+
+
+def test_pool_processes_run_the_kernel_on_one_thread():
+    # the pool fills the CPUs, so a kernel call that would take helpers in
+    # a process of its own (73 blocks at B=20000, m=119, j0=3) takes none in
+    # a pool process
+    geometry = (20000, 275, 119, np.zeros((65, 30)))
+    seen = []
+
+    class Pool(ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            seen.append(self.submit(coefficients._workers, *geometry).result(60))
+            return super().map(*args, **kwargs)
+
+    with mock.patch.object(coefficients, "_cpus", lambda: 4):
+        assert coefficients._workers(*geometry) == 4
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", Pool):
+            pw.run_level_experiment(tiny_config(workers=2))
+    assert seen == [1]
 
 
 def test_replicate_seeds_independent_of_dataset_list():

@@ -23,6 +23,12 @@ def test_window_validation():
     for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError):
             pw.Window(lo, hi)
+    for bad in (True, "0"):
+        with pytest.raises(ValueError, match="lo must be a number"):
+            pw.Window(bad, 2.0)
+        with pytest.raises(ValueError, match="hi must be a number"):
+            pw.Window(-1.0, bad)
+    assert type(pw.Window(0, np.float32(2.0)).lo) is float
     w = pw.Window(-1.0, 3.0)
     assert w.length == 4.0
     inside = pw.times_in(train([-1.0, 3.0, 3.0001], -1.0, 4.0), w)

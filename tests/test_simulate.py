@@ -106,6 +106,9 @@ def test_dataset_catalog():
     assert (model.mu_p, model.mu_c, model.b_support) == (PARENT_RATE, ORPHAN_RATE, 0.01)
     with pytest.raises(ValueError):
         pw.DatasetId("Data_99")
+    for bad in (True, "2"):  # not T=1, not a bare TypeError
+        with pytest.raises(ValueError, match="T must be a number"):
+            pw.make_dataset(pw.DatasetId("Data_0"), bad, 1)
 
 
 def test_data0_child_count_poisson():
@@ -205,9 +208,10 @@ SEEDED = {
 @pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
 def test_every_seeded_call_takes_int_sequence_or_generator(call):
     # one seed rule: s, SeedSequence(s) and default_rng(s) give the same draws,
-    # and None (OS entropy) is refused
+    # and None (OS entropy) and bools (True is not the seed 1) are refused
     expected = call(5)
     assert np.array_equal(call(np.random.SeedSequence(5)), expected)
     assert np.array_equal(call(np.random.default_rng(5)), expected)
-    with pytest.raises(TypeError):
-        call(None)
+    for bad in (None, True):
+        with pytest.raises(TypeError):
+            call(bad)
