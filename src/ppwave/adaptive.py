@@ -53,7 +53,7 @@ def aggregation_weights(idx: IndexSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Knobs of the aggregated test; B=2000 is the desk-scale override.
+    """The aggregated test's knobs; ExperimentConfig adds a run's fields to them.
 
     Stores alpha and scale as float, j0 and B as int (see haar.as_number).
     """
@@ -157,7 +157,7 @@ def empirical_quantile(column, p: float) -> float:
         raise ValueError("column must be finite")
     if np.any(np.diff(col) < 0):
         raise ValueError("column must be sorted ascending")
-    if not 0.0 < p <= 1.0:
+    if not 0.0 < as_number("p", p, float) <= 1.0:
         raise ValueError("p must lie in (0; 1]")
     return float(_thresholds(col[:, None], np.array([p]))[0])
 
@@ -190,7 +190,7 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
     paper's dichotomy approximates, is the largest float below the (k+1)-th
     least row level, where k rows are what a rate <= alpha admits.
     """
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < as_number("alpha", alpha, float) < 1.0:
         raise ValueError("alpha must lie in (0; 1)")
     w = np.asarray(weights, dtype=np.float64)
     size = nulls.index_set.size

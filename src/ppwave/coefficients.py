@@ -262,8 +262,11 @@ def _buffer(workspace: dict, name: str, size: int, dtype=np.intp) -> np.ndarray:
     return raw[: size * itemsize].view(dtype)
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one.
+
+    It caps the kernel's helpers and sizes the experiments' default pool.
+    """
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -274,7 +277,7 @@ def _workers(n_rows: int, step: int, m: int, signs: np.ndarray) -> int:
     """Threads that walk a call's row blocks of step rows of m draws each."""
     if _one_cpu or step * m < _HELPER_DRAWS or step * signs.size > _HELPER_MATMUL:
         return 1
-    return max(1, min(_cpus(), -(-n_rows // step) // _HELPER_BLOCKS))
+    return max(1, min(available_cpus(), -(-n_rows // step) // _HELPER_BLOCKS))
 
 
 def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .adaptive import TestConfig, run_multiple_test
 from .baselines import DELTA_GRID, gaue_grid, ks_test
-from .coefficients import use_one_cpu
-from .haar import TWO_SIDED, as_number
+from .coefficients import available_cpus, use_one_cpu
+from .haar import as_number
 from .process import conditioning_window
 from .simulate import DATASET_NAMES, DatasetId, make_dataset
 
@@ -52,26 +50,25 @@ METHODS = ("wavelet", "ks", "gaue")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a level/power run depends on; defaults are desk scale.
+class ExperimentConfig(TestConfig):
+    """A TestConfig plus the run's own fields; defaults are desk scale.
 
-    Stores datasets and methods as tuples, T as float, R, master_seed and
-    workers as int (or None), the TestConfig fields as TestConfig does.
+    Each replicate runs the test under the inherited fields, of which only B
+    takes another default here (2000). Stores datasets and methods as tuples,
+    T as float, R, master_seed and workers as int (or None, which means
+    available_cpus() workers).
     """
 
+    B: int = 2000
     datasets: tuple[str, ...] = LEVEL_DATASETS
     methods: tuple[str, ...] = METHODS
-    alpha: float = 0.05
     R: int = 1000
-    B: int = 2000
-    j0: int = 3
-    side: str = TWO_SIDED
     T: float = 2.0
-    scale: float = 50.0
     master_seed: int = 20260810
     workers: int | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         counts = ("R", "master_seed") + ("workers",) * (self.workers is not None)
         for name, kind in [("T", float)] + [(name, int) for name in counts]:
             object.__setattr__(self, name, as_number(name, getattr(self, name), kind))
@@ -83,9 +80,6 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # TestConfig validates its fields and stores their canonical values
-        for f in fields(TestConfig):
-            object.__setattr__(self, f.name, getattr(self.test_config, f.name))
         for name, known in (("datasets", DATASET_NAMES), ("methods", METHODS)):
             names = getattr(self, name)
             valid = isinstance(names, (list, tuple)) and all(n in known for n in names)
@@ -96,11 +90,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"T = {self.T} must exceed the largest gaue delay {max(DELTA_GRID)}"
             )
-
-    @cached_property
-    def test_config(self) -> TestConfig:
-        """The per-replicate test configuration (a derived value, not a field)."""
-        return TestConfig(**{f.name: getattr(self, f.name) for f in fields(TestConfig)})
 
 
 @dataclass(frozen=True)
@@ -171,7 +160,7 @@ def _replicate(task: tuple[ExperimentConfig, str, int]) -> dict:
     out = {}
     if "wavelet" in cfg.methods:
         null_seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(ds_pos, r, 1))
-        outcome = run_multiple_test(parents, children, cfg.test_config, seed=null_seq)
+        outcome = run_multiple_test(parents, children, cfg, seed=null_seq)
         out["wavelet"] = outcome.reject
         out["u_alpha"] = outcome.u_alpha
     if "ks" in cfg.methods:
@@ -190,7 +179,7 @@ def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical power run over the configured (usually non-null) datasets."""
     start = time.perf_counter()
     tasks = [(cfg, name, r) for name in cfg.datasets for r in range(cfg.R)]
-    workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
+    workers = cfg.workers if cfg.workers is not None else available_cpus()
     if workers <= 1:
         results = [_replicate(t) for t in tasks]
     else:

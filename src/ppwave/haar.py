@@ -5,7 +5,7 @@ pointwise formulas: the sign and amplitude of each wavelet, its value, its
 antiderivative and its mean under a uniform shift. The estimator built on
 them (dyadic-slot pair sums and the shift-mean correction) lives in
 coefficients.py. as_number, the type rule of every numeric setting, lives
-here because IndexSet, the innermost config, is the first to apply it.
+here because WaveletIndex and IndexSet, the innermost values, apply it first.
 
 The mother wavelet is psi = 1_(1/2;1] - 1_[0;1/2], dilated/translated as
 phi_(j,k)(x) = 2^(j/2) psi(2^j x - k). The half-open conventions matter: a
@@ -50,12 +50,14 @@ def as_number(name: str, value, kind: type):
 
 @dataclass(frozen=True, order=True)
 class WaveletIndex:
-    """Resolution/translation pair (j, k), j >= 0."""
+    """Resolution/translation pair (j, k), j >= 0, both stored as int."""
 
     j: int
     k: int
 
     def __post_init__(self):
+        for name in ("j", "k"):
+            object.__setattr__(self, name, as_number(name, getattr(self, name), int))
         if self.j < 0:
             raise ValueError("resolution j must be >= 0")
 
@@ -159,7 +161,7 @@ def haar_tent(j, k, t) -> np.ndarray:
 
 def uniform_shift_mean(index: WaveletIndex, v, T: float):
     """Exact mean of phi_(j,k)(v - U) for U uniform on [0; T]."""
-    if not 0 < T < math.inf:
+    if not 0 < as_number("T", T, float) < math.inf:
         raise ValueError(f"T must be > 0 and finite, got {T}")
     v_arr = np.asarray(v, dtype=np.float64)
     j, k = index.j, index.k

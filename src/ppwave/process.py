@@ -7,7 +7,7 @@ float64 array together with the closed window that contains them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class InteractionModel:
     """Parent rate, orphan rate and step reproduction kernel theta*1_[nu; b_support].
 
     T is the recording length of the parent process; children are observed on
-    [-1; T+1].
+    [-1; T+1]. Every field is stored as float.
     """
 
     mu_p: float
@@ -97,6 +97,8 @@ class InteractionModel:
     b_support: float = 0.01
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            object.__setattr__(self, name, as_number(name, getattr(self, name), float))
         if self.mu_p <= 0:
             raise ValueError("mu_p must be > 0")
         if self.mu_c < 0:
@@ -118,7 +120,7 @@ def times_in(train: EventTrain, w: Window) -> np.ndarray:
 
 def scale_train(train: EventTrain, factor: float) -> EventTrain:
     """Multiply all times and both window endpoints by a positive factor."""
-    if factor <= 0:
+    if as_number("factor", factor, float) <= 0:
         raise ValueError("scale factor must be > 0")
     w = train.window
     return EventTrain(train.times * factor, Window(w.lo * factor, w.hi * factor))

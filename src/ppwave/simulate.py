@@ -101,7 +101,7 @@ def sim_homogeneous_poisson(rate: float, w: Window, seed) -> EventTrain:
     Draws N ~ Poisson(rate * |w|), then N i.i.d. uniforms on the window,
     sorted.
     """
-    if rate < 0:
+    if as_number("rate", rate, float) < 0:
         raise ValueError("rate must be >= 0")
     rng = as_generator(seed)
     n = rng.poisson(rate * w.length)

@@ -63,6 +63,9 @@ def test_quantile_rank_examples():
     assert pw.empirical_quantile(col, 1e-9) == 4.0
     with pytest.raises(ValueError):
         pw.empirical_quantile(col, 0.0)
+    for bad in (True, "0.5"):  # not p = 1 (-inf), not a bare TypeError
+        with pytest.raises(ValueError, match="p must be a number"):
+            pw.empirical_quantile(col, bad)
     with pytest.raises(ValueError):
         pw.empirical_quantile(np.array([]), 0.5)
     with pytest.raises(ValueError):
@@ -281,6 +284,9 @@ def test_calibration_weights_match_columns():
         bad[4] = value
         with pytest.raises(ValueError, match="weights must be finite"):
             pw.calibrate_u_alpha(nulls, bad, 0.05)
+    for bad in (True, "0.05"):
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            pw.calibrate_u_alpha(nulls, pw.aggregation_weights(idx), bad)
 
 
 def _rate(nulls, w, u):

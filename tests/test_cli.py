@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,9 +256,9 @@ def test_level_command_with_config_and_out(tmp_path, capsys):
     out_path = str(tmp_path / "level.csv")
     out = run_cli(capsys, "level", "--config", str(cfg_path), "--out", out_path)
     assert out.startswith("dataset,method,delta_summary,rate,ci_halfwidth,R")
-    written = open(out_path).read()
+    written = Path(out_path).read_text()
     assert written == out
-    sidecar = json.loads(open(str(tmp_path / "level.json")).read())
+    sidecar = json.loads((tmp_path / "level.json").read_text())
     assert sidecar["config"]["B"] == 100
     # the sidecar's config is itself a --config file for the same run
     sidecar_path = tmp_path / "sidecar.json"

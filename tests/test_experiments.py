@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -76,7 +78,7 @@ def test_config_validation():
     assert cfg.R == 12
     for name in counts:
         assert type(getattr(cfg, name)) is int, name
-    assert type(cfg.test_config.B) is int and type(cfg.test_config.j0) is int
+    assert type(cfg.B) is int and type(cfg.j0) is int
     assert type(pw.TestConfig(B=np.int64(200)).B) is int
     # numpy reals are accepted and stored as float
     reals = dict(alpha=np.float32(0.05), T=np.float32(2.0), scale=np.float64(50.0))
@@ -96,14 +98,14 @@ def test_config_rejects_horizon_within_the_delay_grid():
     assert tiny_config(T=0.035, methods=("wavelet", "ks")).T == 0.035
 
 
-def test_config_derives_test_config():
+def test_config_is_a_test_config():
     cfg = tiny_config(alpha=0.1, j0=2, side=pw.NONNEG, B=40, scale=25.0)
-    assert cfg.test_config == pw.TestConfig(
-        alpha=0.1, j0=2, side=pw.NONNEG, B=40, scale=25.0
-    )
-    assert "test_config" not in json.loads(
-        pw.ExperimentReport([], cfg, 0.0).to_json()
-    )["config"]
+    assert isinstance(cfg, pw.TestConfig)
+    test = pw.TestConfig(alpha=0.1, j0=2, side=pw.NONNEG, B=40, scale=25.0)
+    for f in dataclasses.fields(pw.TestConfig):
+        assert getattr(cfg, f.name) == getattr(test, f.name), f.name
+    config = json.loads(pw.ExperimentReport([], cfg, 0.0).to_json())["config"]
+    assert "test_config" not in config and "index_set" not in config
 
 
 def test_level_requires_null_dataset():
@@ -137,11 +139,11 @@ def test_report_structure():
 def test_report_json_sidecar_roundtrip(tmp_path):
     report = pw.run_level_experiment(tiny_config())
     csv_path, json_path = pw.write_report(report, str(tmp_path / "out.csv"))
-    payload = json.loads(open(json_path).read())
+    payload = json.loads(Path(json_path).read_text())
     assert payload["config"]["R"] == 12
     assert payload["rows"][0]["dataset"] == "Data_0"
     assert "wall_time_s" in payload
-    assert open(csv_path).read() == report.to_csv()
+    assert Path(csv_path).read_text() == report.to_csv()
 
 
 def test_report_json_with_numpy_counts(tmp_path):
@@ -152,7 +154,7 @@ def test_report_json_with_numpy_counts(tmp_path):
     )
     report = pw.run_level_experiment(cfg)
     _, json_path = pw.write_report(report, str(tmp_path / "out.csv"))
-    config = json.loads(open(json_path).read())["config"]
+    config = json.loads(Path(json_path).read_text())["config"]
     assert {k: config[k] for k in ("R", "B", "j0", "master_seed", "workers")} == {
         "R": 2, "B": 100, "j0": 2, "master_seed": 7, "workers": 1
     }
@@ -180,11 +182,22 @@ def test_pool_processes_run_the_kernel_on_one_thread():
             seen.append(self.submit(coefficients._workers, *geometry).result(60))
             return super().map(*args, **kwargs)
 
-    with mock.patch.object(coefficients, "_cpus", lambda: 4):
+    with mock.patch.object(coefficients, "available_cpus", lambda: 4):
         assert coefficients._workers(*geometry) == 4
         with mock.patch("concurrent.futures.ProcessPoolExecutor", Pool):
             pw.run_level_experiment(tiny_config(workers=2))
     assert seen == [1]
+
+
+def test_default_pool_has_one_process_per_cpu_of_the_affinity_mask():
+    # os.cpu_count() counts the host's CPUs, not those this process may use
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process on one CPU started a pool")
+
+    one_cpu = mock.patch("os.sched_getaffinity", lambda pid: {0}, create=True)
+    with one_cpu, mock.patch("concurrent.futures.ProcessPoolExecutor", no_pool):
+        report = pw.run_level_experiment(tiny_config(workers=None))
+    assert report.to_csv() == pw.run_level_experiment(tiny_config()).to_csv()
 
 
 def test_replicate_seeds_independent_of_dataset_list():

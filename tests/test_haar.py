@@ -87,6 +87,9 @@ def test_uniform_shift_mean_basic():
     assert pw.uniform_shift_mean(wix(0, 0), 0.5, 10.0) == -0.05
     with pytest.raises(ValueError):
         pw.uniform_shift_mean(wix(0, 0), 0.5, 0.0)
+    for bad in (True, "2"):  # not T = 1, not a bare TypeError
+        with pytest.raises(ValueError, match="T must be a number"):
+            pw.uniform_shift_mean(wix(0, 0), 0.2, bad)
 
 
 @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, 0.0, -1.0])
@@ -123,6 +126,11 @@ def test_index_set_cardinalities():
     assert pw.IndexSet(np.int64(3)).size == ids.size
     with pytest.raises(ValueError):
         pw.WaveletIndex(-1, 0)
+    for j, k in ((0.5, 0), (True, 0), (0, 1.0), (0, "1")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            pw.WaveletIndex(j, k)
+    ix = pw.WaveletIndex(np.int64(2), np.int32(-1))
+    assert type(ix.j) is int and type(ix.k) is int
 
 
 def test_pair_cascade_single_pair():

@@ -76,6 +76,9 @@ def test_scale_train_examples():
         pw.scale_train(t, 0.0)
     with pytest.raises(ValueError):
         pw.scale_train(t, -2.0)
+    for bad in (True, "2"):
+        with pytest.raises(ValueError, match="factor must be a number"):
+            pw.scale_train(t, bad)
 
 
 @st.composite
@@ -145,6 +148,13 @@ def test_interaction_model_validation():
     for T in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="T must be > 0 and finite"):
             pw.InteractionModel(mu_p=50, mu_c=20, theta=0, nu=0, T=T)
+    good = dict(mu_p=50, mu_c=20, theta=0, nu=0, T=np.float32(2.0), b_support=0.01)
+    for name in good:
+        for bad in (True, "2"):  # not mu_p = 1, not a bare TypeError
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                pw.InteractionModel(**{**good, name: bad})
+    model = pw.InteractionModel(**good)
+    assert all(type(getattr(model, name)) is float for name in good)
 
 
 def differences(table, values, scratch=None):

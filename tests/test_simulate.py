@@ -15,6 +15,9 @@ def test_zero_rate_is_empty():
         pw.sim_homogeneous_poisson(
             -1.0, pw.Window(0.0, 2.0), np.random.SeedSequence(1, spawn_key=(0,))
         )
+    for bad in (True, "1"):  # not rate 1, not a bare TypeError
+        with pytest.raises(ValueError, match="rate must be a number"):
+            pw.sim_homogeneous_poisson(bad, pw.Window(0.0, 2.0), 0)
 
 
 def test_fixed_seed_reproduces():
