@@ -4,20 +4,23 @@
     python scripts/kernel_ab.py <other tree> [--pairs N]
 
 loads ppwave from <other tree>/src under one module name and from this
-checkout's src under another, then times simulate_null_stats on the same
-inputs, alternating the two trees call by call (which tree goes first
-alternates too), so that both see the same host load. Timings of one tree in
-separate processes spread far wider on a shared host than a ratio taken this
-way; perfbench/run.py stays the end-to-end measure.
+checkout's src under another, then times simulate_null_stats and
+run_multiple_test on the same inputs, alternating the two trees call by call
+(which tree goes first alternates too), so that both see the same host load.
+Timings of one tree in separate processes spread far wider on a shared host
+than a ratio taken this way; perfbench/run.py stays the end-to-end measure.
 
-Inputs (T=2, data seed 7, scaled x50, null seed 1): Data_80 (m=119) at
-B=20000 and Data_0 (m=35) at B=2000 with the two-sided j0=3 family, then
-Data_80 at B=20000 with the two-sided j0=6 family and at B=2000 with the
-nonneg j0=3 family. For each input it prints each tree's median call time
-over the timed pairs (after one untimed warm-up pair) next to its median
-process CPU time (time.process_time, every thread of the process), the
-ratio of the call times this / other, and whether the two trees returned
-the same statistics bit for bit.
+Inputs (T=2, data seed 7, scaled x50, null seed 1). simulate_null_stats:
+Data_80 (m=119) at B=20000 and Data_0 (m=35) at B=2000 with the two-sided
+j0=3 family, then Data_80 at B=20000 with the two-sided j0=6 and j0=7
+families and at B=2000 with the nonneg j0=3 family. run_multiple_test, whose
+one kernel call adds the observed row to the null's: Data_0 at B=2000 and
+Data_80 at B=20000, two-sided j0=3. For each input it prints each tree's
+median call time over the timed pairs (after one untimed warm-up pair) next
+to its median process CPU time (time.process_time, every thread of the
+process), the ratio of the call times this / other, and whether the two
+trees returned the same statistics, or every field of the same outcome, bit
+for bit.
 
 CPU time above wall time means a call ran on more than one CPU: the
 kernel's helper threads, or BLAS threads under the sign matmul (at j0=6
@@ -38,6 +41,7 @@ runs their sign matmuls on one thread.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import statistics
 import sys
@@ -45,12 +49,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# dataset, B, j0, side, timed pairs per --pairs unit
+# timed call, dataset, B, j0, side, timed pairs per --pairs unit
 CASES = (
-    ("Data_80", 20000, 3, "two_sided", 1),
-    ("Data_0", 2000, 3, "two_sided", 10),
-    ("Data_80", 20000, 6, "two_sided", 1),
-    ("Data_80", 2000, 3, "nonneg", 10),
+    ("simulate_null_stats", "Data_80", 20000, 3, "two_sided", 1),
+    ("simulate_null_stats", "Data_0", 2000, 3, "two_sided", 10),
+    ("simulate_null_stats", "Data_80", 20000, 6, "two_sided", 1),
+    ("simulate_null_stats", "Data_80", 20000, 7, "two_sided", 1),
+    ("simulate_null_stats", "Data_80", 2000, 3, "nonneg", 10),
+    ("run_multiple_test", "Data_0", 2000, 3, "two_sided", 10),
+    ("run_multiple_test", "Data_80", 20000, 3, "two_sided", 1),
 )
 
 
@@ -68,12 +75,24 @@ def load(src: Path, name: str):
     return module
 
 
-def null_call(pw, dataset: str, B: int, j0: int, side: str):
-    """A zero-argument call of pw's simulate_null_stats on the case's inputs."""
+def case_call(pw, call: str, dataset: str, B: int, j0: int, side: str):
+    """(m, a zero-argument call of pw's call on the case's inputs)."""
     parents, children = pw.make_dataset(pw.DatasetId(dataset), 2.0, 7)
     sp, observed, window = pw.scale_clip(parents, children, 50.0)
     m, idx = observed.count(), pw.IndexSet(j0, side)
-    return m, lambda: pw.simulate_null_stats(sp, m, idx, B, window, 1).stats
+    if call == "simulate_null_stats":
+        return m, lambda: pw.simulate_null_stats(sp, m, idx, B, window, 1).stats
+    cfg = pw.TestConfig(j0=j0, side=side, B=B)
+    return m, lambda: pw.run_multiple_test(parents, children, cfg, seed=1)
+
+
+def bits(value) -> bytes:
+    """value's bytes: an array's data, each field's of a dataclass, else its repr."""
+    if hasattr(value, "tobytes"):
+        return value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return b"".join(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return repr(value).encode()
 
 
 def main(argv=None):
@@ -90,10 +109,10 @@ def main(argv=None):
         "other": load(args.other.resolve() / "src", "ppwave_other"),
         "this": load(ROOT / "src", "ppwave_this"),
     }
-    for dataset, B, j0, side, per_unit in CASES:
+    for call, dataset, B, j0, side, per_unit in CASES:
         calls = {}
         for name, pw in trees.items():
-            m, calls[name] = null_call(pw, dataset, B, j0, side)
+            m, calls[name] = case_call(pw, call, dataset, B, j0, side)
         times = {name: [] for name in trees}
         cpu = {name: [] for name in trees}
         out = {}
@@ -107,13 +126,15 @@ def main(argv=None):
                     cpu[name].append(time.process_time() - start_cpu)
         median = {name: 1e3 * statistics.median(t) for name, t in times.items()}
         median_cpu = {name: 1e3 * statistics.median(t) for name, t in cpu.items()}
-        same = out["this"].tobytes() == out["other"].tobytes()
+        same = bits(out["this"]) == bits(out["other"])
+        what = "statistics" if call == "simulate_null_stats" else "outcome"
         print(
-            f"{dataset} (m={m}) B={B} j0={j0} {side}, {len(times['this'])} pairs: "
+            f"{call} {dataset} (m={m}) B={B} j0={j0} {side}, "
+            f"{len(times['this'])} pairs: "
             f"other {median['other']:.2f} ms (cpu {median_cpu['other']:.2f}), "
             f"this {median['this']:.2f} ms (cpu {median_cpu['this']:.2f}), "
             f"ratio {median['this'] / median['other']:.3f}, "
-            f"identical statistics: {'yes' if same else 'NO'}"
+            f"identical {what}: {'yes' if same else 'NO'}"
         )
 
 

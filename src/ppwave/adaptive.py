@@ -4,10 +4,13 @@ The null reference is built conditionally on the observed parents and the
 observed child count m: B independent m-samples of uniforms on the analysis
 window produce null statistics per index. The estimator kernel draws them
 block by block, so beyond the (B, |idx|) statistics the null needs memory
-for one row block only, whatever B and m. One half of the rows estimates the
-conditional quantiles; the exact levels of u from which the other half's
-values exceed their thresholds fix u_alpha. The data are rescaled (default
-x50) before testing so the kernel support sits strictly inside (-1; 1).
+for one row block only, whatever B and m. A test is one kernel call, with
+one cell table and one set of constants: the observed train is its row 0,
+the bits of estimate_coefficients, and the B null rows follow. One half of
+the null rows estimates the conditional quantiles; the exact levels of u
+from which the other half's values exceed their thresholds fix u_alpha. The
+data are rescaled (default x50) before testing so the kernel support sits
+strictly inside (-1; 1).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import estimate_coefficients, null_coefficient_matrix
+from .coefficients import estimate_rows
 from .haar import TWO_SIDED, IndexSet, WaveletIndex, as_number
 from .process import EventTrain, Window, scale_clip
 from .simulate import as_generator
@@ -139,7 +142,7 @@ def simulate_null_stats(
         raise ValueError("B must be an even integer >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    stats = null_coefficient_matrix(parents, m, idx, B, obs, as_generator(seed))
+    stats = estimate_rows(parents, idx, np.empty((0, m)), B, obs, as_generator(seed))
     return NullStatMatrix(np.abs(stats, out=stats), idx)
 
 
@@ -248,13 +251,23 @@ class TestOutcome:
         return 2.0 ** (-self.index_set.js.astype(np.float64)) / self.scale
 
 
-def _informative_inputs(parents: EventTrain, children: EventTrain, scale: float):
-    """(scaled parents, kept children, analysis window, m); None if n = 0 or m = 0."""
+def _observed_and_null(parents: EventTrain, children: EventTrain, config, seed):
+    """(beta_hat, null statistics, m) of the scaled data; None if n = 0 or m = 0.
+
+    One kernel call: row 0 is the kept observed train, rows 1 to B the bits of
+    simulate_null_stats on the scaled data. beta_hat is a copy, so it does not
+    keep the (B + 1, |idx|) estimates alive.
+    """
     if parents.count() == 0:
         return None
-    scaled_parents, observed, analysis = scale_clip(parents, children, scale)
-    m = observed.count()
-    return (scaled_parents, observed, analysis, m) if m else None
+    sp, observed, analysis = scale_clip(parents, children, config.scale)
+    m, idx = observed.count(), config.index_set
+    if m == 0:
+        return None
+    given = observed.times[None, :]
+    rows = estimate_rows(sp, idx, given, config.B, analysis, as_generator(seed))
+    stats = np.abs(rows[1:], out=rows[1:])
+    return rows[0].copy(), NullStatMatrix(stats, idx), m
 
 
 def run_multiple_test(
@@ -265,26 +278,24 @@ def run_multiple_test(
 ) -> TestOutcome:
     """Aggregated test of the nullity of the reproduction function.
 
-    Scales the data, computes the per-index statistics, simulates the
-    conditional null with m = number of children kept by the scaled analysis
-    window, calibrates u_alpha, and rejects as soon as one index exceeds its
-    threshold (strict inequality). Empty parent or child trains yield an
-    accepting outcome with the no-information flag set.
+    Scales the data, computes the per-index statistics and the conditional
+    null with m = number of children kept by the scaled analysis window in
+    one kernel call, calibrates u_alpha, and rejects as soon as one index
+    exceeds its threshold (strict inequality). Empty parent or child trains
+    yield an accepting outcome with the no-information flag set.
     """
     idx = config.index_set
-    inputs = _informative_inputs(parents, children, config.scale)
-    if inputs is None:
+    tested = _observed_and_null(parents, children, config, seed)
+    if tested is None:
         m, u_alpha = 0, config.alpha
-        beta_hat, t_stat = np.zeros(idx.size), np.zeros(idx.size)
+        beta_hat = np.zeros(idx.size)
         thresholds = np.full(idx.size, np.nan)
     else:
-        scaled_parents, observed, analysis, m = inputs
-        coef = estimate_coefficients(scaled_parents, observed, idx)
-        nulls = simulate_null_stats(scaled_parents, m, idx, config.B, analysis, seed)
+        beta_hat, nulls, m = tested
         weights = aggregation_weights(idx)
         u_alpha = calibrate_u_alpha(nulls, weights, config.alpha)
         thresholds = _thresholds(nulls.sorted_quantile_half, u_alpha * np.exp(-weights))
-        beta_hat, t_stat = coef.beta_hat, coef.t_stat
+    t_stat = np.abs(beta_hat)
     single = t_stat > thresholds  # all False against the NaN thresholds
     return TestOutcome(
         reject=bool(single.any()),
@@ -297,7 +308,7 @@ def run_multiple_test(
         n_parents=parents.count(),
         m_children=m,
         scale=config.scale,
-        no_information=inputs is None,
+        no_information=tested is None,
     )
 
 
@@ -315,11 +326,9 @@ def run_single_test(
     """
     idx = config.index_set
     p = idx.position(index)  # raises for an index outside the family
-    inputs = _informative_inputs(parents, children, config.scale)
-    if inputs is None:
+    tested = _observed_and_null(parents, children, config, seed)
+    if tested is None:
         return False
-    scaled_parents, observed, analysis, m = inputs
-    stat = estimate_coefficients(scaled_parents, observed, idx).t_stat[p]
-    nulls = simulate_null_stats(scaled_parents, m, idx, config.B, analysis, seed)
+    beta_hat, nulls, _ = tested
     column = np.sort(nulls.stats[:, [p]], axis=0)
-    return bool(stat > _thresholds(column, np.array([config.alpha]))[0])
+    return bool(abs(beta_hat[p]) > _thresholds(column, np.array([config.alpha]))[0])

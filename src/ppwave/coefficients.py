@@ -1,18 +1,20 @@
 """Unbiased wavelet coefficient estimates for parent/child trains.
 
-This module owns the estimator kernel, coefficient_matrix: the dyadic-slot
-pair sums and the exact uniform-shift-mean correction over a (rows, m)
-matrix of child samples against one parent set. For each index,
+This module owns the estimator kernel, estimate_rows: the dyadic-slot pair
+sums and the exact uniform-shift-mean correction over a (rows, m) matrix of
+child samples against one parent set. For each index,
 
     beta_hat = (S - (n - 1) * sum_x E phi(x - U)) / n,   U ~ Unif[0; T],
 
 where S is the raw pair sum over child-parent differences (closed form, no
-extra Monte-Carlo noise). The observed train is the one-row case
-(estimate_coefficients, pair_cascade), coefficient_matrix takes the rows of
-a given matrix, and the conditional null (null_coefficient_matrix) B rows
-of uniforms, drawn block by block: each row block is drawn from the one
+extra Monte-Carlo noise). The kernel's rows are given rows, then rows of
+uniforms drawn block by block: each row block is drawn from the one
 generator just before it is used, so the (B, m) draws are never held. One
-loop walks the rows in fixed-size blocks, in any order within a row.
+loop walks the rows in fixed-size blocks, in any order within a row, and
+each row's estimates are the bits of its one-row call. The observed train is
+the one-row case (estimate_coefficients, pair_cascade), coefficient_matrix
+gives a matrix's rows, the conditional null (adaptive.simulate_null_stats)
+B drawn rows, and a test both in one call: the observed train, then the null.
 
 The loop is a worker that the calling thread runs, and so do helper
 threads, up to the CPUs the process may use. Each worker takes the next row
@@ -51,7 +53,7 @@ from functools import partial
 import numpy as np
 
 from .haar import IndexSet, haar_amplitude, haar_sign
-from .process import EventTrain, PairTable, Window, parent_horizon
+from .process import EventTrain, PairTable, parent_horizon
 
 __all__ = [
     "NoParentsError",
@@ -280,18 +282,24 @@ def _workers(n_rows: int, step: int, m: int, signs: np.ndarray) -> int:
     return max(1, min(available_cpus(), -(-n_rows // step) // _HELPER_BLOCKS))
 
 
-def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):
-    """(n_rows, idx.size) estimates of n_rows samples of m child times each.
+def estimate_rows(
+    parents: EventTrain, idx: IndexSet, given: np.ndarray, draws=0, window=None, gen=None
+) -> np.ndarray:
+    """(rows + draws, idx.size) estimates: the rows of given, then drawn rows.
 
-    block(rows, out) fills the (block rows, m) buffer out with the samples of
-    the row slice rows, in time units; it is called once per slice, in row
-    order, just before the slice is used, under the lock of the call's
-    workers. The kernel then scales them by 2^(j0+1), exactly.
+    given is a (rows, m) matrix of child times, in any order within a row; it
+    may have no rows. The draws rows after it are m-samples of uniforms on
+    window from gen, the bits of given rows gen.uniform(window.lo, window.hi,
+    (draws, m)): each block's are drawn in row order, under the lock of the
+    call's workers, into the kernel's sample buffer just before it is used,
+    as uniform's lo + u (hi - lo). So the (draws, m) draws are never held,
+    and gen ends where that draw leaves it.
     """
     n = parents.count()
     if n == 0:
         raise NoParentsError("coefficient estimates require at least one parent")
     T = parent_horizon(parents)
+    m, n_rows = given.shape[1], len(given) + draws
     signs = _slot_signs(idx)
     correction = _shift_mean_sums(T, idx)
     step = max(1, _BLOCK_SIZE // max(m, signs.shape[0]))
@@ -317,7 +325,15 @@ def _estimates(parents: EventTrain, idx: IndexSet, n_rows: int, m: int, block):
                     stop = min(start + step, n_rows)
                     samples = scratch("samples", (stop - start) * m, np.float64)
                     samples = samples.reshape(stop - start, m)
-                    block(slice(start, stop), samples)
+                    head = given[start:stop]
+                    samples[: len(head)] = head
+                    if not np.isfinite(head).all():
+                        raise ValueError("samples must be finite")
+                    drawn = samples[len(head) :]
+                    if len(drawn):
+                        gen.random(out=drawn)
+                        drawn *= window.hi - window.lo
+                        drawn += window.lo
                 samples *= scale
                 sums = _pair_sums(table, samples, idx, signs, scratch)
                 out[start:stop] = (sums - (n - 1) * correction(samples)) / n
@@ -361,33 +377,7 @@ def coefficient_matrix(
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError("samples must be a (rows, m) matrix")
-
-    def block(rows, out):
-        out[:] = samples[rows]
-        if not np.isfinite(out).all():
-            raise ValueError("samples must be finite")
-
-    return _estimates(parents, idx, *samples.shape, block)
-
-
-def null_coefficient_matrix(
-    parents: EventTrain, m: int, idx: IndexSet, n_rows: int, window: Window, gen
-) -> np.ndarray:
-    """coefficient_matrix of n_rows uniform m-samples on window, drawn by block.
-
-    Equals coefficient_matrix(parents, gen.uniform(window.lo, window.hi,
-    (n_rows, m)), idx) bit for bit without holding the (n_rows, m) draws:
-    each row block is drawn from gen, in row order, into the kernel's
-    sample buffer just before the kernel uses it, as uniform's
-    lo + u (hi - lo).
-    """
-
-    def block(rows, out):
-        gen.random(out=out)
-        out *= window.hi - window.lo
-        out += window.lo
-
-    return _estimates(parents, idx, n_rows, m, block)
+    return estimate_rows(parents, idx, samples)
 
 
 def estimate_coefficients(

@@ -99,14 +99,14 @@ class InteractionModel:
     def __post_init__(self):
         for name in (f.name for f in fields(self)):
             object.__setattr__(self, name, as_number(name, getattr(self, name), float))
-        if self.mu_p <= 0:
-            raise ValueError("mu_p must be > 0")
-        if self.mu_c < 0:
-            raise ValueError("mu_c must be >= 0")
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
-        if not 0 <= self.nu < self.b_support:
-            raise ValueError("need 0 <= nu < b_support")
+        if not 0 < self.mu_p < math.inf:
+            raise ValueError(f"mu_p must be > 0 and finite, got {self.mu_p}")
+        if not 0 <= self.mu_c < math.inf:
+            raise ValueError(f"mu_c must be >= 0 and finite, got {self.mu_c}")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be >= 0 and finite, got {self.theta}")
+        if not 0 <= self.nu < self.b_support < math.inf:
+            raise ValueError(f"need 0 <= nu < b_support < inf, got {self.nu}, {self.b_support}")
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be > 0 and finite, got {self.T}")
 

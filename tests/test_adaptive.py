@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ppwave as pw
+from ppwave import coefficients
 from ppwave.adaptive import _thresholds
 
 
@@ -537,6 +539,51 @@ def test_single_test_matches_shared_null_path(name, data_seed, j, k_pos, seed):
         nulls = pw.simulate_null_stats(sp, m, idx, cfg.B, window, seed)
         expected = stat > pw.empirical_quantile(np.sort(nulls.stats[:, p]), cfg.alpha)
     assert pw.run_single_test(ix, parents, children, cfg, seed=seed) == expected
+
+
+@given(
+    st.sampled_from(pw.DATASET_NAMES),
+    st.integers(1, 30),
+    st.integers(0, 4),
+    st.sampled_from([pw.TWO_SIDED, pw.NONNEG]),
+    st.sampled_from([1, 16, 2**9, 2**15]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_one_kernel_call_is_the_two_call_composition(
+    name, half, j0, side, block, workers, seed
+):
+    # a test's one kernel call, the observed train as row 0 and the B null
+    # rows after it, in blocks of one to many rows on 1 to 3 workers, gives
+    # the bits of estimate_coefficients and simulate_null_stats called apart,
+    # and leaves a passed Generator where simulate_null_stats leaves it
+    parents, children = pw.make_dataset(pw.DatasetId(name), 1.0, seed % 97)
+    cfg = pw.TestConfig(j0=j0, side=side, B=2 * half)
+    sp, observed, window = pw.scale_clip(parents, children, cfg.scale)
+    m, idx = observed.count(), cfg.index_set
+    assume(sp.count() > 0 and m > 0)
+    ix = idx.indices[seed % idx.size]
+    one_call, two_calls = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(coefficients, "_BLOCK_SIZE", block):
+        with mock.patch.object(coefficients, "_workers", lambda *args: workers):
+            out = pw.run_multiple_test(parents, children, cfg, seed=one_call)
+            single = pw.run_single_test(ix, parents, children, cfg, seed=seed)
+    beta = pw.estimate_coefficients(sp, observed, idx).beta_hat
+    nulls = pw.simulate_null_stats(sp, m, idx, cfg.B, window, two_calls)
+    weights = pw.aggregation_weights(idx)
+    u_alpha = pw.calibrate_u_alpha(nulls, weights, cfg.alpha)
+    thresholds = _thresholds(nulls.sorted_quantile_half, u_alpha * np.exp(-weights))
+    assert out.beta_hat.tobytes() == beta.tobytes()
+    assert out.u_alpha.hex() == u_alpha.hex()
+    assert out.thresholds.tobytes() == thresholds.tobytes()
+    assert out.single_reject.tobytes() == (np.abs(beta) > thresholds).tobytes()
+    assert one_call.bit_generator.state == two_calls.bit_generator.state
+    # the single test's decision as it was made from the two calls
+    p = idx.position(ix)
+    column = pw.simulate_null_stats(sp, m, idx, cfg.B, window, seed).stats[:, [p]]
+    column.sort(axis=0)
+    assert single == (np.abs(beta[p]) > _thresholds(column, np.array([cfg.alpha]))[0])
 
 
 def test_single_test_rejects_an_index_outside_the_family():

@@ -353,6 +353,33 @@ def counted_workers():
         yield counts
 
 
+def test_a_test_is_one_kernel_call_of_b_plus_one_rows():
+    # an informative run_multiple_test or run_single_test makes one kernel
+    # call, of the observed row and the B null rows; a test without
+    # information makes none. The outcome's beta_hat owns its data, so it
+    # does not keep the (B + 1, |idx|) estimates alive
+    parents, children = pw.make_dataset(pw.DatasetId("Data_80"), 2.0, 7)
+    no_parents, no_children = train([], 0.0, 2.0), train([], -1.0, 3.0)
+    cfg, ix = pw.TestConfig(B=200), pw.WaveletIndex(0, 0)
+    rows, rule = [], coefficients._workers
+
+    def workers(n_rows, *args):
+        rows.append(n_rows)
+        return rule(n_rows, *args)
+
+    with mock.patch.object(coefficients, "_workers", workers):
+        outcome = pw.run_multiple_test(parents, children, cfg, seed=1)
+        assert rows == [cfg.B + 1]
+        pw.run_single_test(ix, parents, children, cfg, seed=1)
+        assert rows == [cfg.B + 1] * 2
+        for p, c in ((no_parents, children), (parents, no_children)):
+            assert pw.run_multiple_test(p, c, cfg, seed=1).no_information
+            assert not pw.run_single_test(ix, p, c, cfg, seed=1)
+        assert rows == [cfg.B + 1] * 2
+    assert not outcome.no_information
+    assert outcome.beta_hat.base is None
+
+
 def test_kept_workspace_gives_the_bits_of_a_fresh_one():
     # one kept workspace serves a sequence of kernel calls whose parents, m
     # (0 to 595), j0, side, B and block size change, small calls following

@@ -183,14 +183,15 @@ def test_pair_cascade_boundary_differences_exact():
 @given(
     st.lists(st.floats(-1.5, 6.5, allow_nan=False), min_size=1, max_size=25),
     st.lists(st.floats(0.0, 5.0, allow_nan=False), min_size=1, max_size=25),
-    st.integers(0, 3),
+    st.integers(0, 7),
+    st.sampled_from([pw.TWO_SIDED, pw.NONNEG]),
 )
 @settings(max_examples=60, deadline=None)
-def test_pair_cascade_matches_naive_property(chi, par, j0):
+def test_pair_cascade_matches_naive_property(chi, par, j0, side):
     chi, par = np.sort(chi), np.sort(par)
     children = pw.EventTrain(chi, pw.Window(-2.0, 7.0))
     parents = pw.EventTrain(par, pw.Window(0.0, 5.0))
-    idx = pw.IndexSet(j0)
+    idx = pw.IndexSet(j0, side)
     fast = pw.pair_cascade(children, parents, idx)
     assert np.array_equal(fast, naive_pair_sums(chi, par, idx))
 
@@ -203,14 +204,17 @@ def dense_pair_problems(draw):
     has more than 255 candidates (a 16-bit sort key); others may hold a
     single parent. Samples are uniform, or on a slot boundary about a parent
     or one ulp beside it; those beyond 6 lie beyond every parent, and sparse
-    parents leave values with no candidate between them.
+    parents leave values with no candidate between them. Above j0 = 3, where
+    the naive sums cost up to 510 indices per pair, a matrix holds at most
+    2 rows of 6 samples.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    j0 = draw(st.integers(0, 3))
+    j0 = draw(st.integers(0, 7))
     dense = draw(st.booleans())
     sparse = rng.uniform(0.0, 5.0, draw(st.integers(0 if dense else 1, 6)))
     parents = np.sort(np.concatenate([sparse, rng.uniform(2.4, 2.6, 300 * dense)]))
-    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 12)))
+    rows, m = (2, 6) if j0 > 3 else (4, 12)
+    shape = (draw(st.integers(1, rows)), draw(st.integers(0, m)))
     g = rng.integers(-(2 ** (j0 + 1)), 2 ** (j0 + 1) + 1, shape)
     grid = rng.choice(parents, shape) + np.ldexp(g.astype(np.float64), -(j0 + 1))
     grid = np.nextafter(grid, grid + rng.integers(-1, 2, shape))

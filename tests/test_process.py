@@ -153,6 +153,9 @@ def test_interaction_model_validation():
         for bad in (True, "2"):  # not mu_p = 1, not a bare TypeError
             with pytest.raises(ValueError, match=f"{name} must be a number"):
                 pw.InteractionModel(**{**good, name: bad})
+        for bad in (math.nan, math.inf):  # named, not a numpy error at simulation
+            with pytest.raises(ValueError, match=rf"\b{name}\b.*(finite|inf)"):
+                pw.InteractionModel(**{**good, name: bad})
     model = pw.InteractionModel(**good)
     assert all(type(getattr(model, name)) is float for name in good)
 

@@ -18,6 +18,9 @@ def test_zero_rate_is_empty():
     for bad in (True, "1"):  # not rate 1, not a bare TypeError
         with pytest.raises(ValueError, match="rate must be a number"):
             pw.sim_homogeneous_poisson(bad, pw.Window(0.0, 2.0), 0)
+    for bad in (np.nan, np.inf):  # named, not a numpy error in the draw
+        with pytest.raises(ValueError, match="rate must be >= 0 and finite"):
+            pw.sim_homogeneous_poisson(bad, pw.Window(0.0, 2.0), 0)
 
 
 def test_fixed_seed_reproduces():
