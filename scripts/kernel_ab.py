@@ -4,23 +4,26 @@
     python scripts/kernel_ab.py <other tree> [--pairs N]
 
 loads ppwave from <other tree>/src under one module name and from this
-checkout's src under another, then times simulate_null_stats and
-run_multiple_test on the same inputs, alternating the two trees call by call
-(which tree goes first alternates too), so that both see the same host load.
-Timings of one tree in separate processes spread far wider on a shared host
-than a ratio taken this way; perfbench/run.py stays the end-to-end measure.
+checkout's src under another, then times simulate_null_stats,
+run_multiple_test and estimate_coefficients on the same inputs, alternating
+the two trees call by call (which tree goes first alternates too), so that
+both see the same host load. Timings of one tree in separate processes
+spread far wider on a shared host than a ratio taken this way;
+perfbench/run.py stays the end-to-end measure.
 
 Inputs (T=2, data seed 7, scaled x50, null seed 1). simulate_null_stats:
 Data_80 (m=119) at B=20000 and Data_0 (m=35) at B=2000 with the two-sided
 j0=3 family, then Data_80 at B=20000 with the two-sided j0=6 and j0=7
 families and at B=2000 with the nonneg j0=3 family. run_multiple_test, whose
 one kernel call adds the observed row to the null's: Data_0 at B=2000 and
-Data_80 at B=20000, two-sided j0=3. For each input it prints each tree's
-median call time over the timed pairs (after one untimed warm-up pair) next
-to its median process CPU time (time.process_time, every thread of the
-process), the ratio of the call times this / other, and whether the two
-trees returned the same statistics, or every field of the same outcome, bit
-for bit.
+Data_80 at B=20000, two-sided j0=3. estimate_coefficients, one row with a
+fresh IndexSet per call, so that the family's per-call constants are most of
+the call: Data_80, two-sided j0=3 and j0=7. For each input it prints each
+tree's median call time over the timed pairs (after one untimed warm-up
+pair) next to its median process CPU time (time.process_time, every thread
+of the process), the ratio of the median call times this / other with the
+quartiles of the per-pair ratios, and whether the two trees returned the
+same statistics, or every field of the same outcome, bit for bit.
 
 CPU time above wall time means a call ran on more than one CPU: the
 kernel's helper threads, or BLAS threads under the sign matmul (at j0=6
@@ -48,8 +51,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
-# timed call, dataset, B, j0, side, timed pairs per --pairs unit
+# timed call, dataset, B (rows of an estimate_coefficients call), j0, side,
+# timed pairs per --pairs unit
 CASES = (
     ("simulate_null_stats", "Data_80", 20000, 3, "two_sided", 1),
     ("simulate_null_stats", "Data_0", 2000, 3, "two_sided", 10),
@@ -58,6 +64,8 @@ CASES = (
     ("simulate_null_stats", "Data_80", 2000, 3, "nonneg", 10),
     ("run_multiple_test", "Data_0", 2000, 3, "two_sided", 10),
     ("run_multiple_test", "Data_80", 20000, 3, "two_sided", 1),
+    ("estimate_coefficients", "Data_80", 1, 3, "two_sided", 100),
+    ("estimate_coefficients", "Data_80", 1, 7, "two_sided", 10),
 )
 
 
@@ -82,6 +90,10 @@ def case_call(pw, call: str, dataset: str, B: int, j0: int, side: str):
     m, idx = observed.count(), pw.IndexSet(j0, side)
     if call == "simulate_null_stats":
         return m, lambda: pw.simulate_null_stats(sp, m, idx, B, window, 1).stats
+    if call == "estimate_coefficients":
+        return m, lambda: pw.estimate_coefficients(
+            sp, observed, pw.IndexSet(j0, side)
+        ).beta_hat
     cfg = pw.TestConfig(j0=j0, side=side, B=B)
     return m, lambda: pw.run_multiple_test(parents, children, cfg, seed=1)
 
@@ -126,14 +138,16 @@ def main(argv=None):
                     cpu[name].append(time.process_time() - start_cpu)
         median = {name: 1e3 * statistics.median(t) for name, t in times.items()}
         median_cpu = {name: 1e3 * statistics.median(t) for name, t in cpu.items()}
+        q1, q3 = np.quantile(np.divide(times["this"], times["other"]), [0.25, 0.75])
         same = bits(out["this"]) == bits(out["other"])
-        what = "statistics" if call == "simulate_null_stats" else "outcome"
+        what = "outcome" if call == "run_multiple_test" else "statistics"
         print(
             f"{call} {dataset} (m={m}) B={B} j0={j0} {side}, "
             f"{len(times['this'])} pairs: "
             f"other {median['other']:.2f} ms (cpu {median_cpu['other']:.2f}), "
             f"this {median['this']:.2f} ms (cpu {median_cpu['this']:.2f}), "
-            f"ratio {median['this'] / median['other']:.3f}, "
+            f"ratio {median['this'] / median['other']:.3f} "
+            f"(pair ratios q1 {q1:.3f}, q3 {q3:.3f}), "
             f"identical {what}: {'yes' if same else 'NO'}"
         )
 

@@ -39,8 +39,8 @@ parents and samples are scaled exactly. Per block, the table's lookup gives
 the pairs rank by rank, their integer dyadic-slot counts (which no
 enumeration order can change) give S through each wavelet's signs, and the
 correction takes one bincount over every level's (row, j, k) bins, the
-family's own columns. The wavelet family and its closed forms come from
-haar.py.
+family's own columns (IndexSet.offsets). The signs come from integer slot
+bounds; haar.py's float closed forms are only the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .haar import IndexSet, haar_amplitude, haar_sign
+from .haar import IndexSet, haar_amplitude
 from .process import EventTrain, PairTable, parent_horizon
 
 __all__ = [
@@ -76,22 +76,22 @@ class CoefficientField:
     t_stat: np.ndarray
 
 
-def _slot_positions(j0: int) -> np.ndarray:
-    """Representatives of the 2^(j0+3)+1 dyadic slots covering [-1; 1].
-
-    Even slots are the exact grid points g*2^-(j0+1), odd slots the open bins
-    between them. Every wavelet with j <= j0 is constant on the open bins and
-    is evaluated exactly at the grid points, so integer slot counts determine
-    all pair sums with no boundary ambiguity.
-    """
-    half = 2 ** (j0 + 1)
-    s = np.arange(2 ** (j0 + 3) + 1, dtype=np.float64)
-    return np.ldexp(0.5 * s - half, -(j0 + 1))
-
-
 def _slot_signs(idx: IndexSet) -> np.ndarray:
-    """(slots, idx.size) signs -1/0/+1 of each wavelet at the slot positions."""
-    return haar_sign(idx.js, idx.ks, _slot_positions(idx.j0)[:, None])
+    """(slots, idx.size) signs -1/0/+1 of each wavelet on the dyadic slots.
+
+    Slot s of the 2^(j0+3)+1 is the grid point (s/2 - 2^(j0+1)) 2^-(j0+1) for
+    even s, the open bin between two for odd s; every wavelet with j <= j0 is
+    constant on each. With w = 2^(j0+1-j) and lo = 2^(j0+2) + 2kw, index (j, k)
+    is -1 on slots lo..mid = lo + w (its closed negative half), +1 on
+    mid+1..hi = lo + 2w.
+    """
+    w = 2 ** (idx.j0 + 1 - idx.js)
+    lo = 2 ** (idx.j0 + 2) + 2 * idx.ks * w
+    mid, hi = lo + w, lo + 2 * w
+    s = np.arange(2 ** (idx.j0 + 3) + 1)[:, None]
+    signs = ((s > mid) & (s <= hi)).astype(np.float64)
+    signs -= (s >= lo) & (s <= mid)
+    return signs
 
 
 def _pair_slot_counts(
@@ -184,8 +184,7 @@ def _shift_mean_sums(T: float, idx: IndexSet):
     k_max = 2**j - 1
     height = -(2.0 ** (-0.5 * j))
     divisor = np.array([T, -T])  # x / (-T) is -(x / T), exactly
-    first = np.searchsorted(idx.js, j)  # level j's first column holds its lowest k
-    offset = first - idx.ks[first]  # index (j, k) sits in column offset_j + k
+    offset = np.array(idx.offsets)[:, None, None]  # (j, k) is column offset_j + k
 
     def sums(block: np.ndarray) -> np.ndarray:
         n_rows, m = block.shape

@@ -1,11 +1,12 @@
 """Haar wavelet family and its closed forms.
 
-This module owns the indices (WaveletIndex, IndexSet) and the exact
-pointwise formulas: the sign and amplitude of each wavelet, its value, its
-antiderivative and its mean under a uniform shift. The estimator built on
-them (dyadic-slot pair sums and the shift-mean correction) lives in
-coefficients.py. as_number, the type rule of every numeric setting, lives
-here because WaveletIndex and IndexSet, the innermost values, apply it first.
+This module owns the indices (WaveletIndex, and IndexSet, whose column table
+and js, ks, size and position are integer arithmetic), the amplitude of each
+wavelet and its exact float closed forms: its value, its antiderivative and
+its mean under a uniform shift. These closed forms are only the oracle of the
+estimator in coefficients.py, which takes its signs from integer slot bounds.
+as_number, the type rule of every numeric setting, lives here because
+WaveletIndex and IndexSet, the innermost values, apply it first.
 
 The mother wavelet is psi = 1_(1/2;1] - 1_[0;1/2], dilated/translated as
 phi_(j,k)(x) = 2^(j/2) psi(2^j x - k). The half-open conventions matter: a
@@ -29,7 +30,6 @@ __all__ = [
     "WaveletIndex",
     "IndexSet",
     "haar_amplitude",
-    "haar_sign",
     "haar_eval",
     "haar_tent",
     "uniform_shift_mean",
@@ -61,11 +61,6 @@ class WaveletIndex:
         if self.j < 0:
             raise ValueError("resolution j must be >= 0")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        w = 2.0 ** (-self.j)
-        return (self.k * w, (self.k + 1) * w)
-
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -90,29 +85,38 @@ class IndexSet:
         return range(-(2**j) if self.side == TWO_SIDED else 0, 2**j)
 
     @cached_property
-    def indices(self) -> tuple[WaveletIndex, ...]:
-        return tuple(
-            WaveletIndex(j, k) for j in range(self.j0 + 1) for k in self.k_range(j)
-        )
-
-    @cached_property
-    def js(self) -> np.ndarray:
-        return np.array([ix.j for ix in self.indices], dtype=np.int64)
-
-    @cached_property
-    def ks(self) -> np.ndarray:
-        return np.array([ix.k for ix in self.indices], dtype=np.int64)
+    def offsets(self) -> tuple[int, ...]:
+        """The column table: index (j, k) is column offsets[j] + k, by level and k."""
+        offsets, first = [], 0
+        for j in range(self.j0 + 1):
+            ks = self.k_range(j)
+            offsets.append(first - ks.start)
+            first += len(ks)
+        return tuple(offsets)
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return self.offsets[-1] + self.k_range(self.j0).stop
+
+    @cached_property
+    def js(self) -> np.ndarray:
+        counts = [len(self.k_range(j)) for j in range(self.j0 + 1)]
+        return np.repeat(np.arange(self.j0 + 1), counts)
+
+    @cached_property
+    def ks(self) -> np.ndarray:
+        return np.arange(self.size) - np.array(self.offsets)[self.js]
+
+    @cached_property
+    def indices(self) -> tuple[WaveletIndex, ...]:
+        return tuple(map(WaveletIndex, self.js.tolist(), self.ks.tolist()))
 
     def position(self, index: WaveletIndex) -> int:
         """Column of index in this family; ValueError if it is not a member."""
-        try:
-            return self.indices.index(index)
-        except ValueError:
-            raise ValueError(f"{index} lies outside {self}") from None
+        if isinstance(index, WaveletIndex) and index.j <= self.j0:
+            if index.k in self.k_range(index.j):
+                return self.offsets[index.j] + index.k
+        raise ValueError(f"{index} lies outside {self}")
 
 
 def haar_amplitude(j):
@@ -120,31 +124,21 @@ def haar_amplitude(j):
     return 2.0 ** (0.5 * np.asarray(j, dtype=np.float64))
 
 
-def haar_sign(j, k, x) -> np.ndarray:
-    """Sign of phi_(j,k) at x, broadcasting over j, k and x.
-
-    -1 on [k2^-j; mid], +1 on (mid; (k+1)2^-j], else 0, decided on the exact
-    dyadic boundaries: y = 2^j x - k would misclassify points within one ulp
-    of a boundary (e.g. a tiny positive x against the support ending at 0).
-    """
-    k = np.asarray(k, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    lo = np.ldexp(k, -j)
-    mid = np.ldexp(2.0 * k + 1.0, -(j + 1))
-    hi = np.ldexp(k + 1.0, -j)
-    neg = (x >= lo) & (x <= mid)
-    pos = (x > mid) & (x <= hi)
-    return pos.astype(np.float64) - neg.astype(np.float64)
-
-
 def haar_eval(index: WaveletIndex, x):
     """Evaluate phi_(j,k) at x (scalar or array).
 
     Returns 2^(j/2) on the right half-support (midpoint excluded, right
     endpoint included), -2^(j/2) on the left half (both endpoints included),
-    0 elsewhere.
+    0 elsewhere. The halves are decided on the exact dyadic boundaries:
+    y = 2^j x - k would misclassify points within one ulp of a boundary
+    (e.g. a tiny positive x against the support ending at 0).
     """
-    out = haar_amplitude(index.j) * haar_sign(index.j, index.k, x)
+    j, k = index.j, index.k
+    x_arr = np.asarray(x, dtype=np.float64)
+    mid = math.ldexp(2 * k + 1, -(j + 1))
+    neg = (x_arr >= math.ldexp(k, -j)) & (x_arr <= mid)
+    pos = (x_arr > mid) & (x_arr <= math.ldexp(k + 1, -j))
+    out = haar_amplitude(j) * (pos.astype(np.float64) - neg.astype(np.float64))
     return float(out) if np.isscalar(x) else out
 
 

@@ -274,20 +274,24 @@ def write_events(train: EventTrain, path) -> None:
 
 
 def read_events(path) -> EventTrain:
-    """Read a plain-text event file written by :func:`write_events`."""
-    window = None
+    """Read an event file written by :func:`write_events`; errors name the file."""
+    bounds = None
     times = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 3 and parts[0] == "window":
-                    window = Window(float(parts[1]), float(parts[2]))
-                continue
-            times.append(float(line))
-    if window is None:
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if len(parts) == 3 and parts[0] == "window":
+                        bounds = float(parts[1]), float(parts[2])
+                elif line:
+                    times.append(float(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if bounds is None:
         raise ValueError(f"{path}: missing '# window lo hi' header")
-    return EventTrain(np.sort(np.asarray(times, dtype=np.float64)), window)
+    try:
+        return EventTrain(np.sort(np.asarray(times, dtype=np.float64)), Window(*bounds))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

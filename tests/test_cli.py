@@ -204,6 +204,18 @@ INVALID_INVOCATIONS = {
         "level --R 1 --B 100 --workers 1 --methods ks --out {missing}/level.csv",
         "No such file",
     ),
+    "events-two-per-line": (
+        "test --parents {p} --children {two_per_line}",
+        "two_per_line.txt:3: could not convert string to float: '1.0 2.0'",
+    ),
+    "events-non-finite": (
+        "test --parents {p} --children {non_finite}",
+        "non_finite.txt: times must be finite",
+    ),
+    "events-outside-window": (
+        "test --parents {outside_window} --children {c}",
+        "outside_window.txt: times must lie in [0.0; 2.0]",
+    ),
 }
 
 
@@ -213,6 +225,13 @@ CONFIG_FILES = {
     "scalar": 5,
     "alpha_list": {"alpha": [1]},
     "R_string": {"R": "5"},
+}
+
+# Malformed event files, written per test under their {name}.
+EVENT_FILES = {
+    "two_per_line": "# window -1.0 3.0\n0.5\n1.0 2.0\n",
+    "non_finite": "# window -1.0 3.0\n0.5\ninf\n",
+    "outside_window": "# window 0.0 2.0\n0.5\n2.5\n",
 }
 
 
@@ -229,6 +248,9 @@ def test_invalid_settings_exit_2_with_one_error_line(
     for name, config in CONFIG_FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(config))
+    for name, text in EVENT_FILES.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
     argv = [arg.format(**paths) for arg in invocation.split()]
     code = main(argv)
     captured = capsys.readouterr()

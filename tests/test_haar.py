@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import ppwave as pw
 from ppwave import coefficients
-from ppwave.coefficients import _buffer, _pair_slot_counts, _slot_positions
+from ppwave.coefficients import _buffer, _pair_slot_counts, _slot_signs
 from ppwave.process import PairTable
 
 SQRT2 = math.sqrt(2.0)
@@ -45,7 +45,7 @@ def test_haar_eval_amplitude_and_support():
     for j in range(5):
         for k in (-(2**j), 0, 2**j - 1):
             ix = wix(j, k)
-            lo, hi = ix.support
+            lo, hi = k * 2.0**-j, (k + 1) * 2.0**-j
             assert hi - lo == pytest.approx(2.0**-j)
             xs = np.linspace(lo, hi, 257)
             vals = pw.haar_eval(ix, xs)
@@ -67,7 +67,7 @@ def test_antiderivative_values():
 @pytest.mark.parametrize("j,k", [(2, 1), (0, 0), (1, -2), (3, 4)])
 def test_antiderivative_matches_quadrature(j, k):
     ix = wix(j, k)
-    lo, hi = ix.support
+    lo, hi = k * 2.0**-j, (k + 1) * 2.0**-j
     mid = (2 * k + 1) * 2.0 ** -(j + 1)
     for t in np.linspace(lo - 0.1, hi + 0.1, 23):
         val, _ = quad(
@@ -131,6 +131,33 @@ def test_index_set_cardinalities():
             pw.WaveletIndex(j, k)
     ix = pw.WaveletIndex(np.int64(2), np.int32(-1))
     assert type(ix.j) is int and type(ix.k) is int
+
+
+@pytest.mark.parametrize("side", [pw.TWO_SIDED, pw.NONNEG])
+def test_index_set_arithmetic_matches_the_enumeration(side):
+    for j0 in range(11):
+        idx = pw.IndexSet(j0, side)
+        members = [wix(j, k) for j in range(j0 + 1) for k in idx.k_range(j)]
+        assert type(idx.size) is int and idx.size == len(members)
+        assert idx.js.tolist() == [ix.j for ix in members]
+        assert idx.ks.tolist() == [ix.k for ix in members]
+        assert [idx.position(ix) for ix in members] == list(range(len(members)))
+        outside = [wix(j0 + 1, 0), (0, 0)]
+        for j in range(j0 + 1):
+            outside += [wix(j, 2**j), wix(j, idx.k_range(j).start - 1)]
+        for index in outside:
+            with pytest.raises(ValueError, match="lies outside"):
+                idx.position(index)
+        assert idx.indices == tuple(members)
+
+
+def test_family_constants_leave_indices_unbuilt():
+    for side in (pw.TWO_SIDED, pw.NONNEG):
+        idx = pw.IndexSet(7, side)
+        idx.js, idx.ks, idx.size, idx.position(wix(7, 5))
+        with pytest.raises(ValueError):
+            idx.position(wix(8, 0))
+        assert "indices" not in vars(idx)
 
 
 def test_pair_cascade_single_pair():
@@ -249,10 +276,29 @@ def test_rank_major_pair_sums_match_naive(problem, block):
     assert np.array_equal(beta, naive / par.size)
 
 
+def slot_positions(j0):
+    """Representatives of the kernel's 2^(j0+3)+1 slots on [-1; 1]: the grid
+    points g 2^-(j0+1) at even slots, the bins' midpoints at odd ones."""
+    s = np.arange(2 ** (j0 + 3) + 1, dtype=np.float64)
+    return np.ldexp(0.5 * s - 2 ** (j0 + 1), -(j0 + 1))
+
+
+@pytest.mark.parametrize("side", [pw.TWO_SIDED, pw.NONNEG])
+def test_slot_signs_are_the_closed_form_signs(side):
+    # the kernel's integer slot bounds against haar_eval's float ones
+    for j0 in range(10):
+        idx = pw.IndexSet(j0, side)
+        pos = slot_positions(j0)
+        signs = _slot_signs(idx)
+        assert signs.shape == (pos.size, idx.size)
+        for p, ix in enumerate(idx.indices):
+            assert np.array_equal(signs[:, p], np.sign(pw.haar_eval(ix, pos)))
+
+
 def test_slot_machinery_covers_unit_interval():
-    pos = _slot_positions(3)
+    pos = slot_positions(3)
     assert pos[0] == -1.0 and pos[-1] == 1.0
-    assert len(pos) == 2 ** (3 + 3) + 1
+    assert len(pos) == 2 ** (3 + 3) + 1 == len(_slot_signs(pw.IndexSet(3)))
     table = PairTable(np.array([0.0]), 2.0**4)  # in units of the finest slot
     samples = np.ldexp(np.array([[-1.0, 1.0, 0.5]]), 4)
     counts = _pair_slot_counts(table, samples, 3, partial(_buffer, {}))
