@@ -11,14 +11,18 @@ both see the same host load. Timings of one tree in separate processes
 spread far wider on a shared host than a ratio taken this way;
 perfbench/run.py stays the end-to-end measure.
 
-Inputs (T=2, data seed 7, scaled x50, null seed 1). simulate_null_stats:
-Data_80 (m=119) at B=20000 and Data_0 (m=35) at B=2000 with the two-sided
-j0=3 family, then Data_80 at B=20000 with the two-sided j0=6 and j0=7
-families and at B=2000 with the nonneg j0=3 family. run_multiple_test, whose
-one kernel call adds the observed row to the null's: Data_0 at B=2000 and
-Data_80 at B=20000, two-sided j0=3. estimate_coefficients, one row with a
-fresh IndexSet per call, so that the family's per-call constants are most of
-the call: Data_80, two-sided j0=3 and j0=7. For each input it prints each
+Inputs (T=2, data seed 7, scaled x50 unless noted, null seed 1).
+simulate_null_stats: Data_80 (m=119) at B=20000 and Data_0 (m=35) at B=2000
+with the two-sided j0=3 family, then Data_80 at B=20000 with the two-sided
+j0=6 and j0=7 families and at B=2000 with the nonneg j0=3 family.
+run_multiple_test, whose one kernel call adds the observed row to the
+null's: Data_0 at B=2000 and Data_80 at B=20000, two-sided j0=3.
+estimate_coefficients, one row with a fresh IndexSet per call, so that the
+family's per-call constants are most of the call: Data_80, two-sided j0=3
+and j0=7. Last, a short horizon: simulate_null_stats on Data_80 scaled x0.5
+(scaled horizon 1, m=163) at B=200, two-sided j0=3, where a value in
+(0; 1) has both of its shift-mean terms, x and x - T, inside the family's
+support, so the correction bins both. For each input it prints each
 tree's median call time over the timed pairs (after one untimed warm-up
 pair) next to its median process CPU time (time.process_time, every thread
 of the process), the ratio of the median call times this / other with the
@@ -54,18 +58,19 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-# timed call, dataset, B (rows of an estimate_coefficients call), j0, side,
-# timed pairs per --pairs unit
+# timed call, dataset, scale, B (rows of an estimate_coefficients call), j0,
+# side, timed pairs per --pairs unit
 CASES = (
-    ("simulate_null_stats", "Data_80", 20000, 3, "two_sided", 1),
-    ("simulate_null_stats", "Data_0", 2000, 3, "two_sided", 10),
-    ("simulate_null_stats", "Data_80", 20000, 6, "two_sided", 1),
-    ("simulate_null_stats", "Data_80", 20000, 7, "two_sided", 1),
-    ("simulate_null_stats", "Data_80", 2000, 3, "nonneg", 10),
-    ("run_multiple_test", "Data_0", 2000, 3, "two_sided", 10),
-    ("run_multiple_test", "Data_80", 20000, 3, "two_sided", 1),
-    ("estimate_coefficients", "Data_80", 1, 3, "two_sided", 100),
-    ("estimate_coefficients", "Data_80", 1, 7, "two_sided", 10),
+    ("simulate_null_stats", "Data_80", 50.0, 20000, 3, "two_sided", 1),
+    ("simulate_null_stats", "Data_0", 50.0, 2000, 3, "two_sided", 10),
+    ("simulate_null_stats", "Data_80", 50.0, 20000, 6, "two_sided", 1),
+    ("simulate_null_stats", "Data_80", 50.0, 20000, 7, "two_sided", 1),
+    ("simulate_null_stats", "Data_80", 50.0, 2000, 3, "nonneg", 10),
+    ("run_multiple_test", "Data_0", 50.0, 2000, 3, "two_sided", 10),
+    ("run_multiple_test", "Data_80", 50.0, 20000, 3, "two_sided", 1),
+    ("estimate_coefficients", "Data_80", 50.0, 1, 3, "two_sided", 100),
+    ("estimate_coefficients", "Data_80", 50.0, 1, 7, "two_sided", 10),
+    ("simulate_null_stats", "Data_80", 0.5, 200, 3, "two_sided", 2),
 )
 
 
@@ -83,10 +88,10 @@ def load(src: Path, name: str):
     return module
 
 
-def case_call(pw, call: str, dataset: str, B: int, j0: int, side: str):
+def case_call(pw, call: str, dataset: str, scale: float, B: int, j0: int, side: str):
     """(m, a zero-argument call of pw's call on the case's inputs)."""
     parents, children = pw.make_dataset(pw.DatasetId(dataset), 2.0, 7)
-    sp, observed, window = pw.scale_clip(parents, children, 50.0)
+    sp, observed, window = pw.scale_clip(parents, children, scale)
     m, idx = observed.count(), pw.IndexSet(j0, side)
     if call == "simulate_null_stats":
         return m, lambda: pw.simulate_null_stats(sp, m, idx, B, window, 1).stats
@@ -94,7 +99,7 @@ def case_call(pw, call: str, dataset: str, B: int, j0: int, side: str):
         return m, lambda: pw.estimate_coefficients(
             sp, observed, pw.IndexSet(j0, side)
         ).beta_hat
-    cfg = pw.TestConfig(j0=j0, side=side, B=B)
+    cfg = pw.TestConfig(j0=j0, side=side, B=B, scale=scale)
     return m, lambda: pw.run_multiple_test(parents, children, cfg, seed=1)
 
 
@@ -121,10 +126,10 @@ def main(argv=None):
         "other": load(args.other.resolve() / "src", "ppwave_other"),
         "this": load(ROOT / "src", "ppwave_this"),
     }
-    for call, dataset, B, j0, side, per_unit in CASES:
+    for call, dataset, scale, B, j0, side, per_unit in CASES:
         calls = {}
         for name, pw in trees.items():
-            m, calls[name] = case_call(pw, call, dataset, B, j0, side)
+            m, calls[name] = case_call(pw, call, dataset, scale, B, j0, side)
         times = {name: [] for name in trees}
         cpu = {name: [] for name in trees}
         out = {}
@@ -142,7 +147,7 @@ def main(argv=None):
         same = bits(out["this"]) == bits(out["other"])
         what = "outcome" if call == "run_multiple_test" else "statistics"
         print(
-            f"{call} {dataset} (m={m}) B={B} j0={j0} {side}, "
+            f"{call} {dataset} x{scale:g} (m={m}) B={B} j0={j0} {side}, "
             f"{len(times['this'])} pairs: "
             f"other {median['other']:.2f} ms (cpu {median_cpu['other']:.2f}), "
             f"this {median['this']:.2f} ms (cpu {median_cpu['this']:.2f}), "

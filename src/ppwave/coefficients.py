@@ -25,8 +25,7 @@ only where the block geometry makes it pay (_workers): four blocks per
 worker, at least 2^13 draws per block, and a sign matmul small enough that
 BLAS keeps it on one thread. So B=20000 calls at j0=3 take helpers, while
 the four-block B=2000 calls of a level run and calls at j0 >= 4 with
-m < 131 run on the caller alone, as do the processes of the experiments'
-pool (use_one_cpu).
+m < 131 run on the caller alone, as do the processes of any process pool.
 An exception in any worker stops the others at their next block and is
 raised in the caller once every helper has joined.
 
@@ -46,6 +45,7 @@ bounds; haar.py's float closed forms are only the kernel's test oracle.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -164,10 +164,10 @@ def _shift_mean_sums(T: float, idx: IndexSet):
 
     sums adds over each row of block, whose values x are in units of
     2^-(j0+1), as the kernel's samples. One bincount covers every level
-    j <= j0, straight into the family's columns. Clipped to [lo; 1], the
-    family's support (lo = -1 for two-sided families, 0 for nonneg ones),
-    a term at t meets one support of the family per level,
-    k = min(floor(2^j t), 2^j - 1). x adds its tent / T and x - T subtracts
+    j <= j0, straight into the family's columns. A term, x or x - T, is
+    live at t with lo < t < 1, inside the family's support (lo = -1 for
+    two-sided families, 0 for nonneg ones), where it meets one support per
+    level, k = floor(2^j t) < 2^j. x adds its tent / T and x - T subtracts
     its own in (row, j, k) bins, in row-major value order, so an index's
     sums depend neither on the family nor on the other rows. Where x and
     x - T meet one support, their terms are added apart rather than
@@ -175,35 +175,37 @@ def _shift_mean_sums(T: float, idx: IndexSet):
     per-index ones to a few ulp of 1/T per value; all others are identical.
     """
     # The per-level constants, built once per call. The terms are haar_tent's
-    # bits: on the clipped range a tent is never negative, and its signed zero
-    # where it is zero (a t clipped up to 0 too) adds nothing to a bincount sum.
+    # bits: inside the support a tent is never negative. Outside it and on
+    # its ends a term is a signed zero, which adds nothing to a bincount sum
+    # (a bin starts at +0 and never becomes -0), so only live terms are binned.
     scale = 2.0 ** (idx.j0 + 1)
     near_lo, near_hi = scale, (T - 1.0) * scale
     lo = idx.k_range(0).start
-    j = np.arange(idx.j0 + 1, dtype=np.int32)[:, None, None]  # int32: ldexp's fast path
-    k_max = 2**j - 1
+    j = np.arange(idx.j0 + 1, dtype=np.int32)[:, None]  # int32: ldexp's fast path
     height = -(2.0 ** (-0.5 * j))
     divisor = np.array([T, -T])  # x / (-T) is -(x / T), exactly
-    offset = np.array(idx.offsets)[:, None, None]  # (j, k) is column offset_j + k
+    offset = np.array(idx.offsets)[:, None]  # (j, k) is column offset_j + k
 
     def sums(block: np.ndarray) -> np.ndarray:
         n_rows, m = block.shape
-        # Every value with |x| <= 1 or |x - T| <= 1 (all values when T < 2),
-        # and some beyond, whose clipped terms are zero.
+        # Every value with |x| < 1 or |x - T| < 1 (all values when T < 2),
+        # and some beyond, which have no live term.
         near = np.flatnonzero((block <= near_lo) | (block >= near_hi))
         x = np.ldexp(block.ravel()[near], -(idx.j0 + 1))
-        t = np.clip(np.stack([x, x - T], axis=1), lo, 1.0)
-        y = np.ldexp(t, j)
-        k = np.minimum(np.floor(y), k_max)
+        t = np.stack([x, x - T], axis=1).ravel()
+        # Live term i is x (even i) or x - T (odd i) of value near[i // 2].
+        live = np.flatnonzero((t > lo) & (t < 1.0))
+        y = np.ldexp(t[live], j)
+        k = np.floor(y)
         y -= k
         # In place where it can be: each worker of a call holds these at once.
         k += offset
         keys = k.astype(np.intp)
-        keys += (near // m * idx.size)[:, None]
+        keys += near[live >> 1] // m * idx.size
         terms = np.subtract(1.0, y, out=k)  # k is used up
         np.minimum(y, terms, out=terms)
         terms *= height
-        terms /= divisor
+        terms /= divisor[live & 1]
         out = np.bincount(keys.ravel(), terms.ravel(), minlength=n_rows * idx.size)
         return out.reshape(n_rows, idx.size)
 
@@ -231,20 +233,6 @@ _WORKSPACES: list[dict] = []
 _HELPER_BLOCKS = 4
 _HELPER_DRAWS = 2**13
 _HELPER_MATMUL = 10**6
-
-# Set by use_one_cpu: this process's kernel calls start no helpers.
-_one_cpu = False
-
-
-def use_one_cpu() -> None:
-    """Keep every kernel call of this process on its calling thread.
-
-    A process pool whose processes already fill the CPUs runs it in each
-    of them, so that kernel helpers do not contend with the pool.
-    """
-    global _one_cpu
-    _one_cpu = True
-
 
 def _buffer(workspace: dict, name: str, size: int, dtype=np.intp) -> np.ndarray:
     """size entries of dtype in the buffer name of workspace, overwritten freely.
@@ -275,8 +263,15 @@ def available_cpus() -> int:
 
 
 def _workers(n_rows: int, step: int, m: int, signs: np.ndarray) -> int:
-    """Threads that walk a call's row blocks of step rows of m draws each."""
-    if _one_cpu or step * m < _HELPER_DRAWS or step * signs.size > _HELPER_MATMUL:
+    """Threads that walk a call's row blocks of step rows of m draws each.
+
+    A process that multiprocessing started, such as a pool's, runs on one,
+    as the pool fills the CPUs. Such a process has multiprocessing loaded,
+    so it is looked up, not imported: the import costs about 20 ms.
+    """
+    mp = sys.modules.get("multiprocessing")
+    in_pool = mp is not None and mp.parent_process() is not None
+    if in_pool or step * m < _HELPER_DRAWS or step * signs.size > _HELPER_MATMUL:
         return 1
     return max(1, min(available_cpus(), -(-n_rows // step) // _HELPER_BLOCKS))
 
@@ -335,7 +330,8 @@ def estimate_rows(
                         drawn += window.lo
                 samples *= scale
                 sums = _pair_sums(table, samples, idx, signs, scratch)
-                out[start:stop] = (sums - (n - 1) * correction(samples)) / n
+                sums -= (n - 1) * correction(samples)
+                np.divide(sums, n, out=out[start:stop])
         except BaseException as exc:  # re-raised in the caller
             errors.append(exc)
         finally:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .adaptive import TestConfig, run_multiple_test
 from .baselines import DELTA_GRID, gaue_grid, ks_test
-from .coefficients import available_cpus, use_one_cpu
+from .coefficients import available_cpus
 from .haar import as_number
 from .process import conditioning_window
 from .simulate import DATASET_NAMES, DatasetId, make_dataset
@@ -184,12 +184,12 @@ def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         results = [_replicate(t) for t in tasks]
     else:
         # Imported here: a process pool costs every import of ppwave about
-        # 20 ms, and single-worker runs never use one.
+        # 20 ms, and single-worker runs never use one. The kernel recognises
+        # the pool's processes and runs on one thread in each (_workers).
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = max(1, len(tasks) // (workers * 8))
-        # The pool fills the CPUs, so each process's kernel runs on one thread.
-        with ProcessPoolExecutor(workers, initializer=use_one_cpu) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(_replicate, tasks, chunksize=chunk))
 
     report = ExperimentReport([], cfg, 0.0)

@@ -3,7 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -193,8 +193,23 @@ def test_matrix_rows_equal_one_row_calls(par, rows, m, j0, side, block, seed):
         assert np.array_equal(sorted_batch[b], coef.beta_hat)
 
 
+def correction_samples(rng, T, rows, m, j0):
+    """(rows, m) times, half uniform on [-1.5; T + 1.5], half on a dyadic
+    point of level j0 + 1 or such a point + T, at random moved by one ulp."""
+    g = rng.integers(-(2 ** (j0 + 1)), 2 ** (j0 + 1) + 1, (rows, m))
+    g = np.ldexp(g.astype(np.float64), -(j0 + 1))
+    dyadic = np.where(rng.random((rows, m)) < 0.5, g, g + T)
+    dyadic = np.nextafter(dyadic, dyadic + rng.integers(-1, 2, (rows, m)))
+    return np.where(
+        rng.random((rows, m)) < 0.5, rng.uniform(-1.5, T + 1.5, (rows, m)), dyadic
+    )
+
+
+CORRECTION_HORIZONS = st.sampled_from([2.0**-9, 0.003, 2.0**-5, 0.1, 0.75, 3.0])
+
+
 @given(
-    st.sampled_from([2.0**-9, 0.003, 2.0**-5, 0.1, 0.75, 3.0]),
+    CORRECTION_HORIZONS,
     st.integers(0, 6),
     st.integers(0, 8),
     st.integers(0, 4),
@@ -212,13 +227,7 @@ def test_correction_matches_per_index_sums(T, rows, m, j0, side, block, seed):
     rng = np.random.default_rng(seed)
     parents = train(np.sort(rng.uniform(0.0, T, rng.integers(1, 6))), 0.0, T)
     idx = pw.IndexSet(j0, side)
-    g = rng.integers(-(2 ** (j0 + 1)), 2 ** (j0 + 1) + 1, (rows, m))
-    g = np.ldexp(g.astype(np.float64), -(j0 + 1))
-    dyadic = np.where(rng.random((rows, m)) < 0.5, g, g + T)
-    dyadic = np.nextafter(dyadic, dyadic + rng.integers(-1, 2, (rows, m)))
-    samples = np.where(
-        rng.random((rows, m)) < 0.5, rng.uniform(-1.5, T + 1.5, (rows, m)), dyadic
-    )
+    samples = correction_samples(rng, T, rows, m, j0)
     n = parents.count()
     row_of = np.repeat(np.arange(rows), m)
     correction = np.stack(
@@ -238,6 +247,49 @@ def test_correction_matches_per_index_sums(T, rows, m, j0, side, block, seed):
         beta = pw.coefficient_matrix(parents, samples, idx)
     ref = (raw - (n - 1) * correction) / n
     assert np.all(np.abs(beta - ref) <= 8 * np.finfo(float).eps * max(m, 1) / T)
+
+
+def clipped_shift_mean_sums(T, idx, block):
+    """The correction's sums with both terms of every value at every level.
+
+    Each term x or x - T is clipped to the family's support [lo; 1] and its
+    k capped at 2^j - 1, so the terms outside the support are signed zeros;
+    they are binned with the rest in the kernel's order: level, then value,
+    then x before x - T. block is in units of 2^-(j0+1).
+    """
+    n_rows, m = block.shape
+    j = np.arange(idx.j0 + 1, dtype=np.int32)[:, None, None]
+    x = np.ldexp(block.ravel(), -(idx.j0 + 1))
+    t = np.clip(np.stack([x, x - T], axis=1), idx.k_range(0).start, 1.0)
+    y = np.ldexp(t, j)
+    k = np.minimum(np.floor(y), 2**j - 1)
+    y -= k
+    keys = (k + np.array(idx.offsets)[:, None, None]).astype(np.intp)
+    keys += (np.arange(block.size) // m * idx.size)[:, None]
+    terms = np.minimum(y, 1.0 - y) * -(2.0 ** (-0.5 * j)) / np.array([T, -T])
+    out = np.bincount(keys.ravel(), terms.ravel(), n_rows * idx.size)
+    return out.reshape(n_rows, idx.size)
+
+
+@given(
+    CORRECTION_HORIZONS,
+    st.integers(0, 6),
+    st.integers(0, 8),
+    st.integers(0, 4),
+    st.sampled_from([pw.TWO_SIDED, pw.NONNEG]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_correction_keeps_the_bits_of_the_clipped_formula(T, rows, m, j0, side, seed):
+    # the kernel bins only the live terms, inside the support: the others
+    # are signed zeros, which change no bit of a bincount sum, and the live
+    # ones keep their order, so the sums equal the clipped formula's bit for
+    # bit on the inputs of the per-index test above
+    rng = np.random.default_rng(seed)
+    idx = pw.IndexSet(j0, side)
+    block = correction_samples(rng, T, rows, m, j0) * 2.0 ** (j0 + 1)
+    got = coefficients._shift_mean_sums(T, idx)(block)
+    assert got.tobytes() == clipped_shift_mean_sums(T, idx, block).tobytes()
 
 
 @pytest.mark.parametrize("j0", [3, 6])
@@ -351,6 +403,30 @@ def counted_workers():
 
     with mock.patch.object(coefficients, "_workers", workers):
         yield counts
+
+
+# A kernel call that takes helpers on four CPUs: B=20000 rows of m=119 at
+# j0=3, 73 blocks of 275 rows.
+HELPER_GEOMETRY = (20000, 275, 119, np.zeros((65, 30)))
+
+
+def workers_on_four_cpus(geometry):
+    with mock.patch.object(coefficients, "available_cpus", lambda: 4):
+        return coefficients._workers(*geometry)
+
+
+def test_main_process_with_multiprocessing_loaded_takes_helpers():
+    # multiprocessing is loaded, but this process is no pool's
+    import multiprocessing  # noqa: F401
+
+    assert workers_on_four_cpus(HELPER_GEOMETRY) == 4
+
+
+def test_any_process_pool_runs_the_kernel_on_one_thread():
+    # a pool's processes fill the CPUs, so the kernel recognises one by
+    # itself: this pool sets no initializer
+    with ProcessPoolExecutor(1) as pool:
+        assert pool.submit(workers_on_four_cpus, HELPER_GEOMETRY).result(60) == 1
 
 
 def test_a_test_is_one_kernel_call_of_b_plus_one_rows():

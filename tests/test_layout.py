@@ -90,10 +90,14 @@ def test_every_export_has_a_caller_outside_tests():
 
 def test_import_loads_no_process_pool():
     # the process pool is imported where a run uses more than one worker, so
-    # an import of ppwave, paid by every CLI call and benchmark set-up, loads
-    # neither multiprocessing nor concurrent.futures (numpy loads neither)
+    # an import of ppwave and a kernel call, paid by every CLI call and
+    # benchmark set-up, load neither multiprocessing nor concurrent.futures
+    # (numpy loads neither)
     code = (
-        "import sys, numpy, ppwave; "
+        "import sys, numpy, ppwave as pw; "
+        "w = pw.Window(0.0, 2.0); "
+        "pw.estimate_coefficients(pw.EventTrain(numpy.array([0.5]), w), "
+        "pw.EventTrain(numpy.array([0.7]), w), pw.IndexSet(3)); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('multiprocessing', 'concurrent')))"
     )
