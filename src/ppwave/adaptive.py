@@ -210,7 +210,8 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
     values, d = calib[rows, cols], damping[cols]
     groups = np.split(values, np.searchsorted(cols, np.arange(1, size)))
     c = np.concatenate([np.searchsorted(q, v) for q, v in zip(sorted_q.T, groups)])
-    # A value above every quantile-half value (c = n) rejects at any u: level 0.
+    # A value above every quantile-half value (c = n) rejects at any u: level 0,
+    # also where e^-w underflows to 0 (w above about 745) and the quotient is 0/0.
     level = np.divide(n - c, d * n, out=np.zeros(len(c)), where=c < n)
     while (down := (level > 0) & (_ranks(np.nextafter(level, 0.0) * d, n) <= c)).any():
         level[down] = np.nextafter(level[down], 0.0)
@@ -258,14 +259,14 @@ def _observed_and_null(parents: EventTrain, children: EventTrain, config, seed):
     simulate_null_stats on the scaled data. beta_hat is a copy, so it does not
     keep the (B + 1, |idx|) estimates alive.
     """
+    gen = as_generator(seed)  # checked even when the data leave nothing to test
     if parents.count() == 0:
         return None
     sp, observed, analysis = scale_clip(parents, children, config.scale)
     m, idx = observed.count(), config.index_set
     if m == 0:
         return None
-    given = observed.times[None, :]
-    rows = estimate_rows(sp, idx, given, config.B, analysis, as_generator(seed))
+    rows = estimate_rows(sp, idx, observed.times[None, :], config.B, analysis, gen)
     stats = np.abs(rows[1:], out=rows[1:])
     return rows[0].copy(), NullStatMatrix(stats, idx), m
 

@@ -196,24 +196,16 @@ def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for pos, name in enumerate(cfg.datasets):
         recs = results[pos * cfg.R : (pos + 1) * cfg.R]
         for method in cfg.methods:
+            rate = np.mean([rec[method] for rec in recs], axis=0)  # per delay for gaue
+            summary = {"": rate}
             if method == "gaue":
-                grid = np.array([rec["gaue"] for rec in recs], dtype=float)
-                per_delta = grid.mean(axis=0)
-                report.gaue_delta_rates[name] = [float(x) for x in per_delta]
-                for label, value in (
-                    ("min", per_delta.min()),
-                    ("median", np.median(per_delta)),
-                    ("max", per_delta.max()),
-                ):
-                    rate = float(value)
-                    report.rows.append(_rate_row(name, "gaue", label, rate, cfg.R))
-            else:
-                rate = float(np.mean([rec[method] for rec in recs]))
-                report.rows.append(_rate_row(name, method, "", rate, cfg.R))
+                report.gaue_delta_rates[name] = rate.tolist()
+                summary = dict(min=rate.min(), median=np.median(rate), max=rate.max())
+            for label, value in summary.items():
+                report.rows.append(_rate_row(name, method, label, float(value), cfg.R))
         if "wavelet" in cfg.methods:
-            u_values = [rec["u_alpha"] for rec in recs]
-            report.u_alpha_min[name] = float(min(u_values))
-            report.u_alpha_max[name] = float(max(u_values))
+            report.u_alpha_min[name] = min(rec["u_alpha"] for rec in recs)
+            report.u_alpha_max[name] = max(rec["u_alpha"] for rec in recs)
     report.wall_time_s = time.perf_counter() - start
     return report
 

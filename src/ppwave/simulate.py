@@ -28,7 +28,6 @@ __all__ = [
 
 PARENT_RATE = 50.0
 ORPHAN_RATE = 20.0
-KERNEL_SUPPORT_END = 0.01
 
 # name -> (theta, nu); the "r" variants add the minimal delay nu=0.005
 _DATASETS = {
@@ -76,23 +75,10 @@ class DatasetId:
                 f"unknown dataset {self.name!r}; expected one of {DATASET_NAMES}"
             )
 
-    @property
-    def theta(self) -> float:
-        return _DATASETS[self.name][0]
-
-    @property
-    def nu(self) -> float:
-        return _DATASETS[self.name][1]
-
     def model(self, T: float) -> InteractionModel:
-        return InteractionModel(
-            mu_p=PARENT_RATE,
-            mu_c=ORPHAN_RATE,
-            theta=self.theta,
-            nu=self.nu,
-            T=T,
-            b_support=KERNEL_SUPPORT_END,
-        )
+        """The shared rates and kernel support with this dataset's (theta, nu)."""
+        theta, nu = _DATASETS[self.name]
+        return InteractionModel(PARENT_RATE, ORPHAN_RATE, theta, nu, T)
 
 
 def sim_homogeneous_poisson(rate: float, w: Window, seed) -> EventTrain:
@@ -153,7 +139,7 @@ def make_dataset(dataset: DatasetId, T: float, seed) -> tuple[EventTrain, EventT
     owns the rates. Both trains are in original (unscaled) time and draw from
     the two children of the seed's SeedSequence (Generator.spawn).
     """
-    model = dataset.model(as_number("T", T, float))
+    model = dataset.model(T)
     parent_rng, child_rng = as_generator(seed).spawn(2)
     parents = sim_homogeneous_poisson(model.mu_p, Window(0.0, model.T), parent_rng)
     children = sim_child_process(parents, model, seed=child_rng)

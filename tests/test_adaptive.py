@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -291,6 +292,19 @@ def test_calibration_weights_match_columns():
             pw.calibrate_u_alpha(nulls, pw.aggregation_weights(idx), bad)
 
 
+def test_calibration_with_underflowing_damping():
+    # e^-w is 0 above w ~ 745: only values above the whole quantile-half
+    # column are flagged, and they reject at any u (level 0, not 0/0)
+    rng = np.random.default_rng(58)
+    idx = pw.IndexSet(2)
+    for w in (700.0, 746.0, 800.0):
+        nulls = _null_matrix(rng, 200, idx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = pw.calibrate_u_alpha(nulls, np.full(idx.size, w), 0.05)
+        assert u == 0.05
+
+
 def _rate(nulls, w, u):
     """Fraction of calibration rows with some index above its threshold at u."""
     th = _thresholds(nulls.sorted_quantile_half, u * np.exp(-w))
@@ -463,6 +477,22 @@ def test_no_information_outcomes():
     # children only outside the scaled analysis window: none is kept
     out3 = pw.run_multiple_test(parents, train([-0.9, 2.9], -1.0, 3.0), cfg, seed=1)
     assert_no_information(out3, cfg, n_parents=2)
+
+
+def test_seed_rule_holds_when_the_data_leave_nothing_to_test():
+    cfg = quick_config()
+    parents = train([0.5, 1.5], 0.0, 2.0)
+    cases = (
+        (train([], 0.0, 2.0), train([0.5], -1.0, 3.0)),  # no parent
+        (parents, train([-0.9, 2.9], -1.0, 3.0)),  # no child kept
+    )
+    index = cfg.index_set.indices[0]
+    for given, children in cases:
+        for bad in (None, True, "x", 1.5):
+            with pytest.raises(TypeError):
+                pw.run_multiple_test(given, children, cfg, seed=bad)
+            with pytest.raises(TypeError):
+                pw.run_single_test(index, given, children, cfg, seed=bad)
 
 
 def test_support_disjoint_children_never_reject():

@@ -136,6 +136,31 @@ def test_report_structure():
     assert report.u_alpha_min["Data_0"] >= 0.05
 
 
+def test_rates_reduce_the_records(tmp_path):
+    cfg = tiny_config(datasets=("Data_0", "Data_80"), R=5, B=40)
+    report = pw.run_power_experiment(cfg)
+    for row in report.rows:
+        if row.method == "gaue":
+            per_delta = report.gaue_delta_rates[row.dataset]
+            summary = dict(
+                min=min(per_delta), median=np.median(per_delta), max=max(per_delta)
+            )
+            assert row.rate == summary[row.delta_summary]
+        else:  # a count of rejections over R
+            assert row.rate == round(row.rate * cfg.R) / cfg.R
+    keys = ("gaue_delta_rates", "u_alpha_min", "u_alpha_max")
+    sidecar = tuple(getattr(report, key) for key in keys)
+    for per_dataset in sidecar:
+        assert set(per_dataset) == set(cfg.datasets)
+    assert all(len(r) == 40 for r in report.gaue_delta_rates.values())
+    floats = [x for r in report.gaue_delta_rates.values() for x in r]
+    floats += [*report.u_alpha_min.values(), *report.u_alpha_max.values()]
+    assert all(type(x) is float for x in floats)
+    _, json_path = pw.write_report(report, str(tmp_path / "out.csv"))
+    payload = json.loads(Path(json_path).read_text())
+    assert tuple(payload[key] for key in keys) == sidecar
+
+
 def test_report_json_sidecar_roundtrip(tmp_path):
     report = pw.run_level_experiment(tiny_config())
     csv_path, json_path = pw.write_report(report, str(tmp_path / "out.csv"))

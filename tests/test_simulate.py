@@ -106,8 +106,9 @@ def test_child_process_input_validation():
 
 def test_dataset_catalog():
     assert len(pw.DATASET_NAMES) == 9
-    assert pw.DatasetId("Data_80").theta == 80 and pw.DatasetId("Data_80").nu == 0
-    assert pw.DatasetId("Data_50r").nu == 0.005
+    data80 = pw.DatasetId("Data_80").model(2.0)
+    assert data80.theta == 80 and data80.nu == 0
+    assert pw.DatasetId("Data_50r").model(2.0).nu == 0.005
     model = pw.DatasetId("Data_0").model(2.0)
     assert (model.mu_p, model.mu_c, model.b_support) == (PARENT_RATE, ORPHAN_RATE, 0.01)
     with pytest.raises(ValueError):
