@@ -27,7 +27,7 @@ tree's median call time over the timed pairs (after one untimed warm-up
 pair) next to its median process CPU time (time.process_time, every thread
 of the process), the ratio this / other as the median of the per-pair
 ratios with their quartiles, and whether the two trees returned the
-same statistics, or every field of the same outcome, bit for bit. The
+same statistics, or every public value of the same outcome, bit for bit. The
 median of the per-pair ratios is the headline because on a shared host the
 ratio of the two median times can fall outside the middle half of the
 pairs' own ratios.
@@ -51,7 +51,6 @@ runs their sign matmuls on one thread.
 """
 
 import argparse
-import dataclasses
 import importlib.util
 import statistics
 import sys
@@ -106,12 +105,20 @@ def case_call(pw, call: str, dataset: str, scale: float, B: int, j0: int, side: 
     return m, lambda: pw.run_multiple_test(parents, children, cfg, seed=1)
 
 
+# A TestOutcome's public values, by name: which of them are stored and which
+# derived may differ between the two trees.
+OUTCOME_VALUES = (
+    "reject", "u_alpha", "beta_hat", "t_stat", "thresholds", "single_reject",
+    "n_parents", "m_children", "no_information",
+)
+
+
 def bits(value) -> bytes:
-    """value's bytes: an array's data, each field's of a dataclass, else its repr."""
+    """value's bytes: an array's data, the public values of an outcome, else its repr."""
     if hasattr(value, "tobytes"):
         return value.tobytes()
-    if dataclasses.is_dataclass(value):
-        return b"".join(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if hasattr(value, "single_reject"):
+        return b"".join(bits(getattr(value, name)) for name in OUTCOME_VALUES)
     return repr(value).encode()
 
 

@@ -226,19 +226,32 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Decision of the aggregated test plus the per-index evidence."""
+    """Per-index evidence of the aggregated test; the decision derives from it."""
 
-    reject: bool
     u_alpha: float
     index_set: IndexSet
     beta_hat: np.ndarray
-    t_stat: np.ndarray
     thresholds: np.ndarray
-    single_reject: np.ndarray
     n_parents: int
     m_children: int
     scale: float
-    no_information: bool
+
+    @property
+    def t_stat(self) -> np.ndarray:
+        return np.abs(self.beta_hat)
+
+    @property
+    def single_reject(self) -> np.ndarray:
+        """Strictly above its threshold, per index; all False against NaN ones."""
+        return self.t_stat > self.thresholds
+
+    @property
+    def reject(self) -> bool:
+        return bool(self.single_reject.any())
+
+    @property
+    def no_information(self) -> bool:
+        return self.m_children == 0
 
     @property
     def positions_original(self) -> np.ndarray:
@@ -296,21 +309,7 @@ def run_multiple_test(
         weights = aggregation_weights(idx)
         u_alpha = calibrate_u_alpha(nulls, weights, config.alpha)
         thresholds = _thresholds(nulls.sorted_quantile_half, u_alpha * np.exp(-weights))
-    t_stat = np.abs(beta_hat)
-    single = t_stat > thresholds  # all False against the NaN thresholds
-    return TestOutcome(
-        reject=bool(single.any()),
-        u_alpha=u_alpha,
-        index_set=idx,
-        beta_hat=beta_hat,
-        t_stat=t_stat,
-        thresholds=thresholds,
-        single_reject=single,
-        n_parents=parents.count(),
-        m_children=m,
-        scale=config.scale,
-        no_information=tested is None,
-    )
+    return TestOutcome(u_alpha, idx, beta_hat, thresholds, parents.count(), m, config.scale)
 
 
 def run_single_test(

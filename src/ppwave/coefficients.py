@@ -73,7 +73,10 @@ class CoefficientField:
 
     index_set: IndexSet
     beta_hat: np.ndarray
-    t_stat: np.ndarray
+
+    @property
+    def t_stat(self) -> np.ndarray:
+        return np.abs(self.beta_hat)
 
 
 def _slot_signs(idx: IndexSet) -> np.ndarray:
@@ -396,7 +399,7 @@ def estimate_coefficients(
         If the parent train is empty.
     """
     beta = coefficient_matrix(parents, children.times[None, :], idx)[0]
-    return CoefficientField(idx, beta, np.abs(beta))
+    return CoefficientField(idx, beta)
 
 
 def pair_cascade(

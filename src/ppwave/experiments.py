@@ -98,8 +98,12 @@ class ReportRow:
     method: str
     delta_summary: str
     rate: float
-    ci_halfwidth: float
     R: int
+
+    @property
+    def ci_halfwidth(self) -> float:
+        """The rate's binomial 95% confidence halfwidth."""
+        return float(1.96 * np.sqrt(self.rate * (1.0 - self.rate) / self.R))
 
 
 @dataclass
@@ -135,7 +139,7 @@ class ExperimentReport:
     def to_json(self) -> str:
         payload = {
             "config": asdict(self.config),
-            "rows": [asdict(row) for row in self.rows],
+            "rows": [asdict(row) | {"ci_halfwidth": row.ci_halfwidth} for row in self.rows],
             "delta_grid": [float(d) for d in DELTA_GRID],
             "gaue_delta_rates": self.gaue_delta_rates,
             "u_alpha_min": self.u_alpha_min,
@@ -143,12 +147,6 @@ class ExperimentReport:
             "wall_time_s": self.wall_time_s,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _rate_row(dataset: str, method: str, label: str, rate: float, R: int) -> ReportRow:
-    """Report row carrying the rate's binomial 95% confidence halfwidth."""
-    halfwidth = float(1.96 * np.sqrt(rate * (1.0 - rate) / R))
-    return ReportRow(dataset, method, label, rate, halfwidth, R)
 
 
 def _replicate(task: tuple[ExperimentConfig, str, int]) -> dict:
@@ -176,10 +174,13 @@ def _replicate(task: tuple[ExperimentConfig, str, int]) -> dict:
 
 
 def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Empirical power run over the configured (usually non-null) datasets."""
+    """Empirical power run over the configured (usually non-null) datasets.
+
+    Starts at most one pool process per replicate, and none for one replicate.
+    """
     start = time.perf_counter()
     tasks = [(cfg, name, r) for name in cfg.datasets for r in range(cfg.R)]
-    workers = cfg.workers if cfg.workers is not None else available_cpus()
+    workers = min(cfg.workers or available_cpus(), len(tasks))
     if workers <= 1:
         results = [_replicate(t) for t in tasks]
     else:
@@ -202,7 +203,7 @@ def run_power_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 report.gaue_delta_rates[name] = rate.tolist()
                 summary = dict(min=rate.min(), median=np.median(rate), max=rate.max())
             for label, value in summary.items():
-                report.rows.append(_rate_row(name, method, label, float(value), cfg.R))
+                report.rows.append(ReportRow(name, method, label, float(value), cfg.R))
         if "wavelet" in cfg.methods:
             report.u_alpha_min[name] = min(rec["u_alpha"] for rec in recs)
             report.u_alpha_max[name] = max(rec["u_alpha"] for rec in recs)

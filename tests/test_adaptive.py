@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -429,6 +430,14 @@ def test_outcome_deterministic_and_consistent():
     assert a.reject == bool(a.single_reject.any())
     assert a.u_alpha >= cfg.alpha
     assert np.array_equal(a.single_reject, a.t_stat > a.thresholds)
+    # the outcome stores its evidence; the statistics and decisions derive from it
+    assert [f.name for f in dataclasses.fields(a)] == [
+        "u_alpha", "index_set", "beta_hat", "thresholds", "n_parents", "m_children",
+        "scale",
+    ]
+    assert np.array_equal(a.t_stat, np.abs(a.beta_hat))
+    assert type(a.reject) is bool and type(a.no_information) is bool
+    assert a.single_reject.dtype == bool and a.no_information is False
 
 
 def test_outcome_positions():
@@ -450,7 +459,7 @@ def test_outcome_positions():
 
 def assert_no_information(out, cfg, n_parents):
     size = cfg.index_set.size
-    assert out.no_information and out.reject is False
+    assert out.no_information is True and out.reject is False
     assert out.u_alpha == cfg.alpha and out.index_set == cfg.index_set
     assert np.array_equal(out.beta_hat, np.zeros(size))
     assert np.array_equal(out.t_stat, np.zeros(size))

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import sys
 import threading
 import time
@@ -90,6 +91,7 @@ def test_t_stat_is_absolute_value():
     children = train([0.2, 0.3, 0.9], -1.0, 3.0)
     coef = pw.estimate_coefficients(parents, children, pw.IndexSet(3))
     assert np.array_equal(coef.t_stat, np.abs(coef.beta_hat))
+    assert [f.name for f in dataclasses.fields(coef)] == ["index_set", "beta_hat"]
 
 
 def test_relabeling_invariance():

@@ -169,6 +169,15 @@ def test_report_json_sidecar_roundtrip(tmp_path):
     assert payload["rows"][0]["dataset"] == "Data_0"
     assert "wall_time_s" in payload
     assert Path(csv_path).read_text() == report.to_csv()
+    # each JSON row holds the CSV's six columns, the derived halfwidth included
+    columns = report.to_csv().split("\n")[0].split(",")
+    assert [f.name for f in dataclasses.fields(report.rows[0])] == [
+        "dataset", "method", "delta_summary", "rate", "R"
+    ]
+    assert len(payload["rows"]) == len(report.rows) == 5
+    for row, sidecar in zip(report.rows, payload["rows"]):
+        assert sidecar == {name: getattr(row, name) for name in columns}
+        assert type(row.ci_halfwidth) is float
 
 
 def test_report_json_with_numpy_counts(tmp_path):
@@ -217,12 +226,34 @@ def test_pool_processes_run_the_kernel_on_one_thread():
 def test_default_pool_has_one_process_per_cpu_of_the_affinity_mask():
     # os.cpu_count() counts the host's CPUs, not those this process may use
     def no_pool(*args, **kwargs):
-        raise AssertionError("a process on one CPU started a pool")
+        raise AssertionError("a pool started for a single worker")
 
     one_cpu = mock.patch("os.sched_getaffinity", lambda pid: {0}, create=True)
     with one_cpu, mock.patch("concurrent.futures.ProcessPoolExecutor", no_pool):
         report = pw.run_level_experiment(tiny_config(workers=None))
     assert report.to_csv() == pw.run_level_experiment(tiny_config()).to_csv()
+
+    # and no more processes than replicates: none for one replicate
+    sizes = []
+
+    class Pool:  # records its size, then runs the tasks in this process
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    for R, pool in ((1, no_pool), (2, Pool)):
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", pool):
+            report = pw.run_level_experiment(tiny_config(R=R, workers=4))
+        assert report.to_csv() == pw.run_level_experiment(tiny_config(R=R)).to_csv()
+    assert sizes == [2]
 
 
 def test_replicate_seeds_independent_of_dataset_list():
