@@ -68,14 +68,14 @@ class TestConfig:
     scale: float = 50.0
 
     def __post_init__(self):
-        for name, kind in (("alpha", float), ("B", int), ("scale", float)):
-            object.__setattr__(self, name, as_number(name, getattr(self, name), kind))
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0; 1)")
+        rules = dict(
+            alpha=(float, dict(gt=0, lt=1)), B=(int, {}), scale=(float, dict(gt=0))
+        )
+        for name, (kind, bounds) in rules.items():
+            value = as_number(name, getattr(self, name), kind, **bounds)
+            object.__setattr__(self, name, value)
         if self.B < 2 or self.B % 2:
             raise ValueError("B must be an even integer >= 2")
-        if not 0 < self.scale < math.inf:
-            raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
         # IndexSet validates j0 and side, and stores j0 as an int
         object.__setattr__(self, "j0", self.index_set.j0)
 
@@ -137,11 +137,9 @@ def simulate_null_stats(
     are those of one (B, m) draw as_generator(seed).uniform(obs.lo, obs.hi),
     drawn one row block at a time. B (even, >= 2) and m (>= 0) are integers, no bools.
     """
-    B, m = as_number("B", B, int), as_number("m", m, int)
+    B, m = as_number("B", B, int), as_number("m", m, int, ge=0)
     if B < 2 or B % 2:
         raise ValueError("B must be an even integer >= 2")
-    if m < 0:
-        raise ValueError("m must be >= 0")
     stats = estimate_rows(parents, idx, np.empty((0, m)), B, obs, as_generator(seed))
     return NullStatMatrix(np.abs(stats, out=stats), idx)
 
@@ -160,8 +158,7 @@ def empirical_quantile(column, p: float) -> float:
         raise ValueError("column must be finite")
     if np.any(np.diff(col) < 0):
         raise ValueError("column must be sorted ascending")
-    if not 0.0 < as_number("p", p, float) <= 1.0:
-        raise ValueError("p must lie in (0; 1]")
+    p = as_number("p", p, float, gt=0, le=1)
     return float(_thresholds(col[:, None], np.array([p]))[0])
 
 
@@ -193,8 +190,7 @@ def calibrate_u_alpha(nulls: NullStatMatrix, weights, alpha: float) -> float:
     paper's dichotomy approximates, is the largest float below the (k+1)-th
     least row level, where k rows are what a rate <= alpha admits.
     """
-    if not 0.0 < as_number("alpha", alpha, float) < 1.0:
-        raise ValueError("alpha must lie in (0; 1)")
+    alpha = as_number("alpha", alpha, float, gt=0, lt=1)
     w = np.asarray(weights, dtype=np.float64)
     size = nulls.index_set.size
     if w.shape != (size,):

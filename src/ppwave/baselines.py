@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 # Delay grid for the coincidence test: 0.001 to 0.040, step 0.001.
-DELTA_GRID = tuple(np.arange(1, 41) * 0.001)
+DELTA_GRID = tuple((np.arange(1, 41) * 0.001).tolist())
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,7 @@ def ks_test(children: EventTrain, obs: Window, alpha: float) -> KsResult:
     m=120). ROADMAP.md plans the exact finite-m law. An empty train
     accepts with the no-information flag.
     """
-    alpha = as_number("alpha", alpha, float)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0; 1)")
+    alpha = as_number("alpha", alpha, float, gt=0, lt=1)
     sel = times_in(children, obs)
     m = sel.size
     if m == 0:
@@ -99,11 +97,10 @@ def _gaue_results(
     a binary search in the sorted |differences|, so it matches brute-force
     pair enumeration exactly.
     """
-    T, alpha = as_number("T", T, float), as_number("alpha", alpha, float)
-    if not all(0.0 < delta < T for delta in deltas):
-        raise ValueError("delta must lie in (0; T)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0; 1)")
+    T = as_number("T", T, float, gt=0)
+    alpha = as_number("alpha", alpha, float, gt=0, lt=1)
+    for delta in (min(deltas), max(deltas)):  # the ends bound every delay
+        as_number("delta", delta, float, gt=0, lt=T)
     window = Window(0.0, T)
     px = times_in(parents, window)
     cy = times_in(children, window)

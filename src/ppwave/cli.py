@@ -21,7 +21,7 @@ from .experiments import (
     run_power_experiment,
     write_report,
 )
-from .haar import NONNEG, TWO_SIDED
+from .haar import NONNEG, TWO_SIDED, as_number
 from .process import (
     conditioning_window,
     parent_horizon,
@@ -38,9 +38,8 @@ def _seed(args) -> np.random.SeedSequence:
     The spawn key (0,) is fixed: a given --seed must keep giving the same
     simulate files and test output.
     """
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    return np.random.SeedSequence(args.seed, spawn_key=(0,))
+    seed = as_number("--seed", args.seed, int, ge=0)
+    return np.random.SeedSequence(seed, spawn_key=(0,))
 
 
 def _add_simulate(sub):

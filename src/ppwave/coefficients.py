@@ -23,9 +23,10 @@ order and the statistics are the same bits for any worker count; it then
 computes that block outside the lock and writes its own rows. A helper joins
 only where the block geometry makes it pay (_workers): four blocks per
 worker, at least 2^13 draws per block, and a sign matmul small enough that
-BLAS keeps it on one thread. So B=20000 calls at j0=3 take helpers, while
-the four-block B=2000 calls of a level run and calls at j0 >= 4 with
-m < 131 run on the caller alone, as do the processes of any process pool.
+BLAS keeps it on one thread. So B=20000 calls at j0=3 take helpers from
+m = 17, while the four-block B=2000 calls of a level run, B=20000 calls
+below m = 261, 1058, 4097 and 16385 at j0 = 4 to 7 (131, 529, 2049 and 8193
+nonneg) and the processes of any process pool run on the caller alone.
 An exception in any worker stops the others at their next block and is
 raised in the caller once every helper has joined.
 

@@ -10,7 +10,6 @@ summarized as min/median/max of the per-delta rates over the delay grid.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -69,17 +68,14 @@ class ExperimentConfig(TestConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        counts = ("R", "master_seed") + ("workers",) * (self.workers is not None)
-        for name, kind in [("T", float)] + [(name, int) for name in counts]:
-            object.__setattr__(self, name, as_number(name, getattr(self, name), kind))
-        if self.R < 1:
-            raise ValueError("R must be >= 1")
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"T must be > 0 and finite, got {self.T}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        rules = dict(
+            T=(float, dict(gt=0)), R=(int, dict(ge=1)), master_seed=(int, dict(ge=0))
+        )
+        if self.workers is not None:
+            rules["workers"] = (int, dict(ge=1))
+        for name, (kind, bounds) in rules.items():
+            value = as_number(name, getattr(self, name), kind, **bounds)
+            object.__setattr__(self, name, value)
         for name, known in (("datasets", DATASET_NAMES), ("methods", METHODS)):
             names = getattr(self, name)
             valid = isinstance(names, (list, tuple)) and all(n in known for n in names)
@@ -140,7 +136,7 @@ class ExperimentReport:
         payload = {
             "config": asdict(self.config),
             "rows": [asdict(row) | {"ci_halfwidth": row.ci_halfwidth} for row in self.rows],
-            "delta_grid": [float(d) for d in DELTA_GRID],
+            "delta_grid": list(DELTA_GRID),
             "gaue_delta_rates": self.gaue_delta_rates,
             "u_alpha_min": self.u_alpha_min,
             "u_alpha_max": self.u_alpha_max,

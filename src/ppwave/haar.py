@@ -5,7 +5,7 @@ and js, ks, size and position are integer arithmetic), the amplitude of each
 wavelet and its exact float closed forms: its value, its antiderivative and
 its mean under a uniform shift. These closed forms are only the oracle of the
 estimator in coefficients.py, which takes its signs from integer slot bounds.
-as_number, the type rule of every numeric setting, lives here because
+as_number, the one rule of every numeric setting, lives here because
 WaveletIndex and IndexSet, the innermost values, apply it first.
 
 The mother wavelet is psi = 1_(1/2;1] - 1_[0;1/2], dilated/translated as
@@ -39,13 +39,32 @@ TWO_SIDED = "two_sided"
 NONNEG = "nonneg"
 
 
-def as_number(name: str, value, kind: type):
-    """The one type rule of numeric settings: value (numpy too, no bool) as kind."""
+def as_number(name: str, value, kind: type, *, gt=None, ge=None, lt=None, le=None):
+    """The one rule of numeric settings: value (numpy too, no bool) as kind.
+
+    A float must be finite, and the value must meet each bound given (gt: >,
+    ge: >=, lt: <, le: <=). The error names the setting, the rule and the value.
+    """
     types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, types):
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"{name} must be {noun}, got {value!r}")
-    return kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:  # an int beyond the largest float
+        value = math.inf
+    if (
+        (kind is float and not math.isfinite(value))
+        or (gt is not None and not value > gt)
+        or (ge is not None and not value >= ge)
+        or (lt is not None and not value < lt)
+        or (le is not None and not value <= le)
+    ):
+        bounds = zip((">", ">=", "<", "<="), (gt, ge, lt, le))
+        rules = [f"{op} {bound}" for op, bound in bounds if bound is not None]
+        rules += ["finite"] * (kind is float)
+        raise ValueError(f"{name} must be {' and '.join(rules)}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, order=True)
@@ -56,10 +75,8 @@ class WaveletIndex:
     k: int
 
     def __post_init__(self):
-        for name in ("j", "k"):
-            object.__setattr__(self, name, as_number(name, getattr(self, name), int))
-        if self.j < 0:
-            raise ValueError("resolution j must be >= 0")
+        object.__setattr__(self, "j", as_number("j", self.j, int, ge=0))
+        object.__setattr__(self, "k", as_number("k", self.k, int))
 
 
 @dataclass(frozen=True)
@@ -74,9 +91,7 @@ class IndexSet:
     side: str = TWO_SIDED
 
     def __post_init__(self):
-        object.__setattr__(self, "j0", as_number("j0", self.j0, int))
-        if self.j0 < 0:
-            raise ValueError("j0 must be >= 0")
+        object.__setattr__(self, "j0", as_number("j0", self.j0, int, ge=0))
         if self.side not in (TWO_SIDED, NONNEG):
             raise ValueError(f"side must be {TWO_SIDED!r} or {NONNEG!r}")
 
@@ -155,8 +170,7 @@ def haar_tent(j, k, t) -> np.ndarray:
 
 def uniform_shift_mean(index: WaveletIndex, v, T: float):
     """Exact mean of phi_(j,k)(v - U) for U uniform on [0; T]."""
-    if not 0 < as_number("T", T, float) < math.inf:
-        raise ValueError(f"T must be > 0 and finite, got {T}")
+    T = as_number("T", T, float, gt=0)
     v_arr = np.asarray(v, dtype=np.float64)
     j, k = index.j, index.k
     out = (haar_tent(j, k, v_arr) - haar_tent(j, k, v_arr - T)) / T

@@ -37,8 +37,6 @@ class Window:
     def __post_init__(self):
         for name in ("lo", "hi"):
             object.__setattr__(self, name, as_number(name, getattr(self, name), float))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"window ends must be finite, got [{self.lo}; {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"window requires lo < hi, got [{self.lo}; {self.hi}]")
 
@@ -77,9 +75,6 @@ class EventTrain:
     def count(self) -> int:
         return int(self.times.size)
 
-    def __len__(self) -> int:
-        return self.count()
-
 
 @dataclass(frozen=True)
 class InteractionModel:
@@ -98,17 +93,11 @@ class InteractionModel:
 
     def __post_init__(self):
         for name in (f.name for f in fields(self)):
-            object.__setattr__(self, name, as_number(name, getattr(self, name), float))
-        if not 0 < self.mu_p < math.inf:
-            raise ValueError(f"mu_p must be > 0 and finite, got {self.mu_p}")
-        if not 0 <= self.mu_c < math.inf:
-            raise ValueError(f"mu_c must be >= 0 and finite, got {self.mu_c}")
-        if not 0 <= self.theta < math.inf:
-            raise ValueError(f"theta must be >= 0 and finite, got {self.theta}")
-        if not 0 <= self.nu < self.b_support < math.inf:
-            raise ValueError(f"need 0 <= nu < b_support < inf, got {self.nu}, {self.b_support}")
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"T must be > 0 and finite, got {self.T}")
+            bound = "gt" if name in ("mu_p", "T", "b_support") else "ge"
+            value = as_number(name, getattr(self, name), float, **{bound: 0})
+            object.__setattr__(self, name, value)
+        if not self.nu < self.b_support:
+            raise ValueError(f"need nu < b_support, got {self.nu}, {self.b_support}")
 
 
 def times_in(train: EventTrain, w: Window) -> np.ndarray:
@@ -120,8 +109,7 @@ def times_in(train: EventTrain, w: Window) -> np.ndarray:
 
 def scale_train(train: EventTrain, factor: float) -> EventTrain:
     """Multiply all times and both window endpoints by a positive factor."""
-    if as_number("factor", factor, float) <= 0:
-        raise ValueError("scale factor must be > 0")
+    factor = as_number("factor", factor, float, gt=0)
     w = train.window
     return EventTrain(train.times * factor, Window(w.lo * factor, w.hi * factor))
 
@@ -141,6 +129,7 @@ def conditioning_window(T: float, scale: float) -> Window:
     that window in the time unit of T, [-1/scale; T + 1/scale]; pass the
     scaled T and scale=1 for the scaled window itself.
     """
+    T, scale = as_number("T", T, float, gt=0), as_number("scale", scale, float, gt=0)
     return Window(-1.0 / scale, T + 1.0 / scale)
 
 
@@ -151,6 +140,7 @@ def scale_clip(
 
     Returns (scaled parents, kept children, the window), all in scaled time.
     """
+    scale = as_number("scale", scale, float, gt=0)
     sp = scale_train(parents, scale)
     sc = scale_train(children, scale)
     window = conditioning_window(parent_horizon(sp), 1.0)

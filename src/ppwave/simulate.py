@@ -87,8 +87,7 @@ def sim_homogeneous_poisson(rate: float, w: Window, seed) -> EventTrain:
     Draws N ~ Poisson(rate * |w|), then N i.i.d. uniforms on the window,
     sorted.
     """
-    if not 0 <= as_number("rate", rate, float) < np.inf:
-        raise ValueError(f"rate must be >= 0 and finite, got {rate}")
+    rate = as_number("rate", rate, float, ge=0)
     rng = as_generator(seed)
     n = rng.poisson(rate * w.length)
     times = np.sort(rng.uniform(w.lo, w.hi, size=n))

@@ -87,6 +87,10 @@ def test_gaue_formula_values():
     assert res.m0_hat == pytest.approx(39.9, abs=1e-12)
     assert res.sigma_hat**2 == pytest.approx(39.9 + 70_000 * (2 / 3 * 1e-6 - 5e-9), rel=1e-12)
     assert res.sigma_hat**2 == pytest.approx(39.946, abs=1e-3)
+    # a float32 delay is computed in float64, not promoted down to float32
+    res32 = pw.gaue_test(parents, children, 2.0, np.float32(0.01), 0.05)
+    exact = pw.gaue_test(parents, children, 2.0, float(np.float32(0.01)), 0.05)
+    assert res32 == exact and type(res32.m0_hat) is float
 
 
 def test_coincidence_count_matches_bruteforce():
@@ -144,6 +148,11 @@ def test_gaue_grid_shape():
     assert len(grid) == 40
     assert grid[0].delta == pytest.approx(0.001)
     assert grid[-1].delta == pytest.approx(0.040)
+    # plain Python values, as the CSV and JSON writers take them
+    assert all(type(delta) is float for delta in pw.DELTA_GRID)
+    for g in grid:
+        fields = (g.x_t, g.m0_hat, g.sigma_hat, g.delta, g.reject)
+        assert tuple(map(type, fields)) == (int, float, float, float, bool)
     # the variance estimate dominates m0 across the whole grid
     assert all(g.sigma_hat**2 >= g.m0_hat for g in grid)
 

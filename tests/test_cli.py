@@ -155,7 +155,7 @@ INVALID_INVOCATIONS = {
     "missing-file": ("test --parents {missing} --children {c}", "No such file"),
     "gaue-delta": (
         "test --parents {p} --children {c} --method gaue --delta 5",
-        "delta must lie in (0; T)",
+        "delta must be > 0 and < 2.0 and finite, got 5.0",
     ),
     "delta-without-gaue": (
         "test --parents {p} --children {c} --delta 0.01",
@@ -171,7 +171,7 @@ INVALID_INVOCATIONS = {
     ),
     "ks-alpha": (
         "test --parents {p} --children {c} --method ks --alpha 1.5",
-        "alpha must lie in (0; 1)",
+        "alpha must be > 0 and < 1 and finite, got 1.5",
     ),
     "level-T": ("level --R 1 --T 0", "T must be > 0"),
     "level-T-nan": ("level --R 1 --T nan", "T must be > 0 and finite, got nan"),

@@ -1,3 +1,4 @@
+import argparse
 import math
 from functools import partial
 from unittest import mock
@@ -10,7 +11,9 @@ from scipy.integrate import quad
 
 import ppwave as pw
 from ppwave import coefficients
+from ppwave.cli import _seed
 from ppwave.coefficients import _buffer, _pair_slot_counts, _slot_signs
+from ppwave.haar import as_number
 from ppwave.process import PairTable
 
 SQRT2 = math.sqrt(2.0)
@@ -96,6 +99,122 @@ def test_uniform_shift_mean_basic():
 def test_uniform_shift_mean_rejects_a_nonpositive_or_nonfinite_horizon(T):
     with pytest.raises(ValueError, match=r"T must be > 0 and finite, got "):
         pw.uniform_shift_mean(wix(0, 0), 0.3, T)
+
+
+def test_as_number_states_the_setting_its_rule_and_the_value():
+    cases = [
+        ("T", math.nan, float, dict(gt=0), "T must be > 0 and finite, got nan"),
+        ("alpha", 1.0, float, dict(gt=0, lt=1), "alpha must be > 0 and < 1 and finite, got 1.0"),
+        ("p", 0.0, float, dict(gt=0, le=1), "p must be > 0 and <= 1 and finite, got 0.0"),
+        ("lo", -math.inf, float, {}, "lo must be finite, got -inf"),
+        ("T", 10**400, float, dict(gt=0), "T must be > 0 and finite, got inf"),
+        ("workers", np.int64(0), int, dict(ge=1), "workers must be >= 1, got 0"),
+        ("j0", True, int, dict(ge=0), "j0 must be an integer, got True"),
+    ]
+    for name, value, kind, bounds, message in cases:
+        with pytest.raises(ValueError) as err:
+            as_number(name, value, kind, **bounds)
+        assert str(err.value) == message
+    # a bound itself passes where it is inclusive, and the value comes back as kind
+    for value, kind, bounds in ((0, float, dict(ge=0)), (np.float32(1.0), float, dict(le=1))):
+        assert type(as_number("x", value, kind, **bounds)) is kind
+    assert as_number("m", np.int32(0), int, ge=0) == 0
+
+
+# Tiny trains and one small null matrix for the settings' call sites.
+_PARENTS = pw.EventTrain(np.array([0.5, 1.0]), pw.Window(0.0, 2.0))
+_CHILDREN = pw.EventTrain(np.array([0.6, 1.2]), pw.Window(-1.0, 3.0))
+_NULLS = pw.simulate_null_stats(_PARENTS, 2, pw.IndexSet(1), 4, _CHILDREN.window, 0)
+_TINY = 5e-324  # the least positive float: -_TINY lies just below a bound of 0
+
+# Each numeric setting at its call site: (its name, its kind, the call with
+# the value, a valid value, values just past its bounds). InteractionModel's
+# six fields (test_process.py) and uniform_shift_mean's T (above) have their
+# own tests.
+NUMERIC_SETTINGS = {
+    "TestConfig.alpha": ("alpha", float, lambda v: pw.TestConfig(alpha=v), 0.05, (0.0, 1.0)),
+    "TestConfig.scale": ("scale", float, lambda v: pw.TestConfig(scale=v), 50.0, (0.0,)),
+    "ExperimentConfig.T": ("T", float, lambda v: pw.ExperimentConfig(T=v), 2.0, (0.0,)),
+    "ExperimentConfig.R": ("R", int, lambda v: pw.ExperimentConfig(R=v), 1, (0,)),
+    "ExperimentConfig.master_seed": (
+        "master_seed", int, lambda v: pw.ExperimentConfig(master_seed=v), 0, (-1,)
+    ),
+    "ExperimentConfig.workers": (
+        "workers", int, lambda v: pw.ExperimentConfig(workers=v), 1, (0,)
+    ),
+    "Window.lo": ("lo", float, lambda v: pw.Window(v, 2.0), 0.0, ()),
+    "Window.hi": ("hi", float, lambda v: pw.Window(-1.0, v), 2.0, ()),
+    "WaveletIndex.j": ("j", int, lambda v: pw.WaveletIndex(v, 0), 0, (-1,)),
+    "WaveletIndex.k": ("k", int, lambda v: pw.WaveletIndex(0, v), -1, ()),
+    "IndexSet.j0": ("j0", int, lambda v: pw.IndexSet(v), 3, (-1,)),
+    "scale_train.factor": (
+        "factor", float, lambda v: pw.scale_train(_PARENTS, v), 50.0, (0.0,)
+    ),
+    # the scale is checked before it divides and before the window is built
+    "conditioning_window.scale": (
+        "scale", float, lambda v: pw.conditioning_window(2.0, v), 50.0, (0, 0.0, -1.0)
+    ),
+    "conditioning_window.T": (
+        "T", float, lambda v: pw.conditioning_window(v, 50.0), 2.0, (0.0,)
+    ),
+    "scale_clip.scale": (
+        "scale", float, lambda v: pw.scale_clip(_PARENTS, _CHILDREN, v), 50.0, (0.0,)
+    ),
+    "sim_homogeneous_poisson.rate": (
+        "rate", float, lambda v: pw.sim_homogeneous_poisson(v, _CHILDREN.window, 0), 1.0,
+        (-_TINY,),
+    ),
+    "simulate_null_stats.m": (
+        "m", int,
+        lambda v: pw.simulate_null_stats(_PARENTS, v, pw.IndexSet(1), 2, _CHILDREN.window, 0),
+        2, (-1,),
+    ),
+    "empirical_quantile.p": (
+        "p", float, lambda v: pw.empirical_quantile([0.0, 1.0], v), 0.5,
+        (0.0, math.nextafter(1.0, 2.0)),
+    ),
+    "calibrate_u_alpha.alpha": (
+        "alpha", float, lambda v: pw.calibrate_u_alpha(_NULLS, np.zeros(6), v), 0.05,
+        (0.0, 1.0),
+    ),
+    "ks_test.alpha": (
+        "alpha", float, lambda v: pw.ks_test(_CHILDREN, _CHILDREN.window, v), 0.05,
+        (0.0, 1.0),
+    ),
+    "gaue_test.alpha": (
+        "alpha", float, lambda v: pw.gaue_test(_PARENTS, _CHILDREN, 2.0, 0.01, v), 0.05,
+        (0.0, 1.0),
+    ),
+    # T is checked before the delay that it bounds
+    "gaue_test.T": (
+        "T", float, lambda v: pw.gaue_test(_PARENTS, _CHILDREN, v, 0.01, 0.05), 2.0,
+        (0.0, -1.0),
+    ),
+    "gaue_test.delta": (
+        "delta", float, lambda v: pw.gaue_test(_PARENTS, _CHILDREN, 2.0, v, 0.05), 0.01,
+        (0.0, 2.0),
+    ),
+    "gaue_grid.alpha": (
+        "alpha", float, lambda v: pw.gaue_grid(_PARENTS, _CHILDREN, 2.0, v), 0.05,
+        (0.0, 1.0),
+    ),
+    "gaue_grid.T": (
+        "T", float, lambda v: pw.gaue_grid(_PARENTS, _CHILDREN, v, 0.05), 2.0, (0.0,)
+    ),
+    "cli --seed": ("--seed", int, lambda v: _seed(argparse.Namespace(seed=v)), 0, (-1,)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind, call, good, past", NUMERIC_SETTINGS.values(), ids=NUMERIC_SETTINGS.keys()
+)
+def test_each_numeric_setting_names_itself_when_invalid(name, kind, call, good, past):
+    call(good)
+    nonfinite = (math.nan, math.inf, -math.inf) if kind is float else ()
+    for bad in nonfinite + past + (True, "1"):
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value).startswith(f"{name} must be "), bad
 
 
 @pytest.mark.parametrize("j,k,v,T", [(0, 0, 0.5, 10.0), (2, -3, -0.3, 4.0), (1, 1, 3.7, 3.5)])

@@ -88,6 +88,34 @@ def test_every_export_has_a_caller_outside_tests():
     assert sorted(set(ppwave.__all__) - loaded) == []
 
 
+def test_only_as_number_words_a_numeric_range():
+    # haar.as_number is the one rule of numeric settings: no other ValueError
+    # message in the package words a bound or the finiteness of one value
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rule = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "as_number"
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            call = getattr(node, "exc", None)
+            if not (isinstance(node, ast.Raise) and isinstance(call, ast.Call)):
+                continue
+            if getattr(call.func, "id", None) != "ValueError" or id(node) in rule:
+                continue
+            text = "".join(
+                part.value
+                for part in ast.walk(call)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+            if any(word in text for word in ("must be >", "must be <", "and finite")):
+                offenders.append(f"{path.name}:{node.lineno}: {text}")
+    assert offenders == []
+
+
 def test_import_loads_no_process_pool():
     # the process pool is imported where a run uses more than one worker, so
     # an import of ppwave and a kernel call, paid by every CLI call and
