@@ -5,11 +5,11 @@
 
 loads ppwave from <other tree>/src under one module name and from this
 checkout's src under another, then times simulate_null_stats,
-run_multiple_test and estimate_coefficients on the same inputs, alternating
-the two trees call by call (which tree goes first alternates too), so that
-both see the same host load. Timings of one tree in separate processes
-spread far wider on a shared host than a ratio taken this way;
-perfbench/run.py stays the end-to-end measure.
+run_multiple_test, estimate_coefficients and the ops of the benchmark's two
+workloads on the same inputs, alternating the two trees call by call (which
+tree goes first alternates too), so that both see the same host load.
+Timings of one tree in separate processes spread far wider on a shared host
+than a ratio taken this way; perfbench/run.py stays the end-to-end measure.
 
 Inputs (T=2, data seed 7, scaled x50 unless noted, null seed 1).
 simulate_null_stats: Data_80 (m=119) at B=20000 and Data_0 (m=35) at B=2000
@@ -19,15 +19,20 @@ run_multiple_test, whose one kernel call adds the observed row to the
 null's: Data_0 at B=2000 and Data_80 at B=20000, two-sided j0=3.
 estimate_coefficients, one row with a fresh IndexSet per call, so that the
 family's per-call constants are most of the call: Data_80, two-sided j0=3
-and j0=7. Last, a short horizon: simulate_null_stats on Data_80 scaled x0.5
+and j0=7. Then a short horizon: simulate_null_stats on Data_80 scaled x0.5
 (scaled horizon 1, m=163) at B=200, two-sided j0=3, where a value in
 (0; 1) has both of its shift-mean terms, x and x - T, inside the family's
-support, so the correction bins both. For each input it prints each
-tree's median call time over the timed pairs (after one untimed warm-up
-pair) next to its median process CPU time (time.process_time, every thread
-of the process), the ratio this / other as the median of the per-pair
-ratios with their quartiles, and whether the two trees returned the
-same statistics, or every public value of the same outcome, bit for bit. The
+support, so the correction bins both. Last, the benchmark's two ops: the
+test_paper mix, run_multiple_test at B=20000 (two-sided j0=3) on the nine
+datasets, two inputs each from data seed 20260810, cycled, pair i on input
+i mod 18 with null seed i; and the level_desk op, run_level_experiment with
+R=1 on Data_0 at B=2000, every method, master seed i. For each case it
+prints each tree's median call time over the timed pairs (after one untimed
+warm-up pair) next to its median process CPU time (time.process_time, every
+thread of the process), the ratio this / other as the median of the
+per-pair ratios with their quartiles, and whether the two trees returned the
+same values bit for bit in every pair: the statistics, every public value of
+an outcome, or a report's rates and u_alpha range (not its wall time). The
 median of the per-pair ratios is the headline because on a shared host the
 ratio of the two median times can fall outside the middle half of the
 pairs' own ratios.
@@ -51,6 +56,7 @@ runs their sign matmuls on one thread.
 """
 
 import argparse
+import hashlib
 import importlib.util
 import statistics
 import sys
@@ -60,8 +66,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-# timed call, dataset, scale, B (rows of an estimate_coefficients call), j0,
-# side, timed pairs per --pairs unit
+# timed call, dataset ("mix": the test_paper inputs), scale, B (rows of an
+# estimate_coefficients call), j0, side, timed pairs per --pairs unit
 CASES = (
     ("simulate_null_stats", "Data_80", 50.0, 20000, 3, "two_sided", 1),
     ("simulate_null_stats", "Data_0", 50.0, 2000, 3, "two_sided", 10),
@@ -73,7 +79,10 @@ CASES = (
     ("estimate_coefficients", "Data_80", 50.0, 1, 3, "two_sided", 100),
     ("estimate_coefficients", "Data_80", 50.0, 1, 7, "two_sided", 10),
     ("simulate_null_stats", "Data_80", 0.5, 200, 3, "two_sided", 2),
+    ("run_multiple_test", "mix", 50.0, 20000, 3, "two_sided", 15),
+    ("run_level_experiment", "Data_0", 50.0, 2000, 3, "two_sided", 100),
 )
+MIX_DATA_SEED, MIX_INPUTS_PER_DATASET = 20260810, 2
 
 
 def load(src: Path, name: str):
@@ -91,18 +100,37 @@ def load(src: Path, name: str):
 
 
 def case_call(pw, call: str, dataset: str, scale: float, B: int, j0: int, side: str):
-    """(m, a zero-argument call of pw's call on the case's inputs)."""
+    """(its inputs, named; a call of pw's call on them, given the pair's number i)."""
+    if call == "run_level_experiment":
+        cfg = dict(datasets=(dataset,), R=1, B=B, j0=j0, side=side, T=2.0, scale=scale)
+        return "R=1, every method", lambda i: pw.run_level_experiment(
+            pw.ExperimentConfig(master_seed=i, workers=1, **cfg)
+        )
+    if dataset == "mix":
+        cfg = pw.TestConfig(j0=j0, side=side, B=B, scale=scale)
+        inputs = [
+            pw.make_dataset(
+                pw.DatasetId(name), 2.0, np.random.SeedSequence([MIX_DATA_SEED, d, k])
+            )
+            for d, name in enumerate(pw.DATASET_NAMES)
+            for k in range(MIX_INPUTS_PER_DATASET)
+        ]
+        return f"{len(inputs)} inputs", lambda i: pw.run_multiple_test(
+            *inputs[i % len(inputs)], cfg, seed=i
+        )
     parents, children = pw.make_dataset(pw.DatasetId(dataset), 2.0, 7)
     sp, observed, window = pw.scale_clip(parents, children, scale)
     m, idx = observed.count(), pw.IndexSet(j0, side)
     if call == "simulate_null_stats":
-        return m, lambda: pw.simulate_null_stats(sp, m, idx, B, window, 1).stats
+        return f"m={m}", lambda i: pw.simulate_null_stats(
+            sp, m, idx, B, window, 1
+        ).stats
     if call == "estimate_coefficients":
-        return m, lambda: pw.estimate_coefficients(
+        return f"m={m}", lambda i: pw.estimate_coefficients(
             sp, observed, pw.IndexSet(j0, side)
         ).beta_hat
     cfg = pw.TestConfig(j0=j0, side=side, B=B, scale=scale)
-    return m, lambda: pw.run_multiple_test(parents, children, cfg, seed=1)
+    return f"m={m}", lambda i: pw.run_multiple_test(parents, children, cfg, seed=1)
 
 
 # A TestOutcome's public values, by name: which of them are stored and which
@@ -114,11 +142,16 @@ OUTCOME_VALUES = (
 
 
 def bits(value) -> bytes:
-    """value's bytes: an array's data, the public values of an outcome, else its repr."""
+    """value's bytes: an array's data, the public values of an outcome, a
+    report's rates and u_alpha range, else its repr."""
     if hasattr(value, "tobytes"):
         return value.tobytes()
     if hasattr(value, "single_reject"):
         return b"".join(bits(getattr(value, name)) for name in OUTCOME_VALUES)
+    if hasattr(value, "u_alpha_min"):
+        rates = [(r.dataset, r.method, r.delta_summary, r.rate) for r in value.rows]
+        ranges = value.gaue_delta_rates, value.u_alpha_min, value.u_alpha_max
+        return bits((rates, ranges))
     return repr(value).encode()
 
 
@@ -127,7 +160,8 @@ def main(argv=None):
     parser.add_argument("other", type=Path, help="root of the other source tree")
     parser.add_argument(
         "--pairs", type=int, default=20,
-        help="timed pairs at B=20000; B=2000 runs ten times as many (default 20)",
+        help="timed pairs of a B=20000 null call; each case runs a fixed multiple "
+        "of them, shorter calls more (default 20)",
     )
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -139,26 +173,31 @@ def main(argv=None):
     for call, dataset, scale, B, j0, side, per_unit in CASES:
         calls = {}
         for name, pw in trees.items():
-            m, calls[name] = case_call(pw, call, dataset, scale, B, j0, side)
+            inputs, calls[name] = case_call(pw, call, dataset, scale, B, j0, side)
         times = {name: [] for name in trees}
         cpu = {name: [] for name in trees}
-        out = {}
+        same = True
         for pair in range(1 + args.pairs * per_unit):
+            digest = {}
             for name in list(trees)[:: 1 if pair % 2 else -1]:
                 start, start_cpu = time.perf_counter(), time.process_time()
-                out[name] = calls[name]()
+                value = calls[name](pair)
                 elapsed = time.perf_counter() - start
                 if pair:
                     times[name].append(elapsed)
                     cpu[name].append(time.process_time() - start_cpu)
+                # hashed and dropped before the other tree's call
+                digest[name] = hashlib.sha256(bits(value)).digest()
+                del value
+            same = same and digest["this"] == digest["other"]
         median = {name: 1e3 * statistics.median(t) for name, t in times.items()}
         median_cpu = {name: 1e3 * statistics.median(t) for name, t in cpu.items()}
         ratios = np.divide(times["this"], times["other"])
         q1, ratio, q3 = np.quantile(ratios, [0.25, 0.5, 0.75])
-        same = bits(out["this"]) == bits(out["other"])
-        what = "outcome" if call == "run_multiple_test" else "statistics"
+        kinds = {"run_multiple_test": "outcomes", "run_level_experiment": "reports"}
+        what = kinds.get(call, "statistics")
         print(
-            f"{call} {dataset} x{scale:g} (m={m}) B={B} j0={j0} {side}, "
+            f"{call} {dataset} x{scale:g} ({inputs}) B={B} j0={j0} {side}, "
             f"{len(times['this'])} pairs: "
             f"other {median['other']:.2f} ms (cpu {median_cpu['other']:.2f}), "
             f"this {median['this']:.2f} ms (cpu {median_cpu['this']:.2f}), "

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import estimate_rows
+from .coefficients import coefficient_matrix
 from .haar import TWO_SIDED, IndexSet, WaveletIndex, as_number
 from .process import EventTrain, Window, scale_clip
 from .simulate import as_generator
@@ -140,7 +140,8 @@ def simulate_null_stats(
     B, m = as_number("B", B, int), as_number("m", m, int, ge=0)
     if B < 2 or B % 2:
         raise ValueError("B must be an even integer >= 2")
-    stats = estimate_rows(parents, idx, np.empty((0, m)), B, obs, as_generator(seed))
+    given, gen = np.empty((0, m)), as_generator(seed)
+    stats = coefficient_matrix(parents, given, idx, draws=B, window=obs, gen=gen)
     return NullStatMatrix(np.abs(stats, out=stats), idx)
 
 
@@ -275,7 +276,8 @@ def _observed_and_null(parents: EventTrain, children: EventTrain, config, seed):
     m, idx = observed.count(), config.index_set
     if m == 0:
         return None
-    rows = estimate_rows(sp, idx, observed.times[None, :], config.B, analysis, gen)
+    given = observed.times[None, :]
+    rows = coefficient_matrix(sp, given, idx, draws=config.B, window=analysis, gen=gen)
     stats = np.abs(rows[1:], out=rows[1:])
     return rows[0].copy(), NullStatMatrix(stats, idx), m
 

@@ -1,8 +1,8 @@
 """Unbiased wavelet coefficient estimates for parent/child trains.
 
-This module owns the estimator kernel, estimate_rows: the dyadic-slot pair
-sums and the exact uniform-shift-mean correction over a (rows, m) matrix of
-child samples against one parent set. For each index,
+This module owns the estimator kernel, whose one entry is coefficient_matrix:
+the dyadic-slot pair sums and the exact uniform-shift-mean correction over a
+(rows, m) matrix of child samples against one parent set. For each index,
 
     beta_hat = (S - (n - 1) * sum_x E phi(x - U)) / n,   U ~ Unif[0; T],
 
@@ -12,9 +12,9 @@ uniforms drawn block by block: each row block is drawn from the one
 generator just before it is used, so the (B, m) draws are never held. One
 loop walks the rows in fixed-size blocks, in any order within a row, and
 each row's estimates are the bits of its one-row call. The observed train is
-the one-row case (estimate_coefficients, pair_cascade), coefficient_matrix
-gives a matrix's rows, the conditional null (adaptive.simulate_null_stats)
-B drawn rows, and a test both in one call: the observed train, then the null.
+the one-row case (estimate_coefficients; pair_cascade gives its raw sums S),
+the conditional null (adaptive.simulate_null_stats) B drawn rows, and a test
+both in one call: the observed train, then the null.
 
 The loop is a worker that the calling thread runs, and so do helper
 threads, up to the CPUs the process may use. Each worker takes the next row
@@ -30,17 +30,21 @@ nonneg) and the processes of any process pool run on the caller alone.
 An exception in any worker stops the others at their next block and is
 raised in the caller once every helper has joined.
 
-The parents' cell table (process.PairTable) is built once per call and holds
-no buffers: the kernel owns every array a block works in, the samples and
-the table's lookup arrays included, in a workspace kept between calls, one
-per worker, so its memory beyond the statistics is one block's buffers per
-worker. The kernel works in units of the finest slot, 2^-(j0+1), into which
-parents and samples are scaled exactly. Per block, the table's lookup gives
-the pairs rank by rank, their integer dyadic-slot counts (which no
-enumeration order can change) give S through each wavelet's signs, and the
-correction takes one bincount over every level's (row, j, k) bins, the
-family's own columns (IndexSet.offsets). The signs come from integer slot
-bounds; haar.py's float closed forms are only the kernel's test oracle.
+The kernel works in units of the finest slot, 2^-(j0+1). Rows are in these
+units from the moment they enter a block: given rows are copied in scaled by
+2^(j0+1), and drawn rows are drawn on the scaled window, the bits of scaled
+uniform draws, as scaling by a power of two commutes with rounding. The
+parents' cell table (process.PairTable), scaled alike, the slot signs and
+the amplitudes are built once per call. The table holds no buffers: the
+kernel owns every array a block works in, the samples and the table's lookup
+arrays included, in a workspace kept between calls, one per worker, so its
+memory beyond the statistics is one block's buffers per worker. Per block,
+the table's lookup gives the pairs rank by rank, their integer dyadic-slot
+counts (which no enumeration order can change) give S through each
+wavelet's signs, and the correction takes one bincount over every level's
+(row, j, k) bins, the family's own columns (IndexSet.offsets). The signs
+come from integer slot bounds; haar.py's float closed forms are only the
+kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from functools import partial
 
 import numpy as np
 
-from .haar import IndexSet, haar_amplitude
+from .haar import IndexSet, as_number, haar_amplitude
 from .process import EventTrain, PairTable, parent_horizon
 
 __all__ = [
@@ -103,13 +107,11 @@ def _pair_slot_counts(
 ) -> np.ndarray:
     """Histogram of pair differences sample - parent over the dyadic slots.
 
-    The kernel works in units of 2^-(j0+1), the finest slot's width:
-    scaling by 2^(j0+1) is exact, so a difference is its slot coordinate.
     table is the parents' cell table at reach 2^(j0+1) and samples is
-    (rows, m), both in these units, in any order within a row; only pairs
-    with |difference| <= 2^(j0+1) (1 in time) contribute. scratch is the
-    allocator of the kernel's workspace (_buffer). Returns a (rows, n_slots)
-    integer matrix.
+    (rows, m), both in kernel units, where a difference is its slot
+    coordinate, in any order within a row; only pairs with |difference| <=
+    2^(j0+1) (1 in time) contribute. scratch is the allocator of the
+    kernel's workspace (_buffer). Returns a (rows, n_slots) integer matrix.
     """
     n_rows, m = samples.shape
     n_slots = 2 ** (j0 + 3) + 1
@@ -146,21 +148,24 @@ def _pair_slot_counts(
 _BLOCK_SIZE = 2**15
 
 
-def _pair_sums(
-    table: PairTable,
-    samples: np.ndarray,
-    idx: IndexSet,
-    signs: np.ndarray,
-    scratch,
-) -> np.ndarray:
-    """(rows, idx.size) raw pair sums of a block of sample rows.
+def _pair_sums(parents: EventTrain, idx: IndexSet):
+    """(sums, signs): sums(block, scratch) is a block's (rows, idx.size) pair sums.
 
-    A sum is an integer net slot count times 2^(j/2): the matmul accumulates
-    integers only (signs are -1/0/+1), so the result is exact up to the
-    single final scaling, matching naive summation.
+    The cell table, the slot signs and the amplitudes are built once per
+    call. block holds sample rows in kernel units; scratch is a workspace's
+    allocator (_buffer). A sum is an integer net slot count times 2^(j/2):
+    the matmul accumulates integers only (signs are -1/0/+1), so the result
+    is exact up to the single final scaling, matching naive summation.
     """
-    counts = _pair_slot_counts(table, samples, idx.j0, scratch).astype(np.float64)
-    return (counts @ signs) * haar_amplitude(idx.js)
+    scale = 2.0 ** (idx.j0 + 1)
+    table = PairTable(parents.times * scale, scale)
+    signs, amplitude = _slot_signs(idx), haar_amplitude(idx.js)
+
+    def sums(block: np.ndarray, scratch) -> np.ndarray:
+        counts = _pair_slot_counts(table, block, idx.j0, scratch).astype(np.float64)
+        return (counts @ signs) * amplitude
+
+    return sums, signs
 
 
 def _shift_mean_sums(T: float, idx: IndexSet):
@@ -280,30 +285,45 @@ def _workers(n_rows: int, step: int, m: int, signs: np.ndarray) -> int:
     return max(1, min(available_cpus(), -(-n_rows // step) // _HELPER_BLOCKS))
 
 
-def estimate_rows(
-    parents: EventTrain, idx: IndexSet, given: np.ndarray, draws=0, window=None, gen=None
+def coefficient_matrix(
+    parents: EventTrain, samples, idx: IndexSet, *, draws=0, window=None, gen=None
 ) -> np.ndarray:
-    """(rows + draws, idx.size) estimates: the rows of given, then drawn rows.
+    """Signed coefficient estimates for each row of child times against parents.
 
-    given is a (rows, m) matrix of child times, in any order within a row; it
-    may have no rows. The draws rows after it are m-samples of uniforms on
-    window from gen, the bits of given rows gen.uniform(window.lo, window.hi,
-    (draws, m)): each block's are drawn in row order, under the lock of the
-    call's workers, into the kernel's sample buffer just before it is used,
-    as uniform's lo + u (hi - lo). So the (draws, m) draws are never held,
-    and gen ends where that draw leaves it.
+    samples is a (rows, m) float array, one child sample per row, in any
+    order within a row; it may have no rows. Returns (rows + draws, idx.size)
+    estimates: the rows of samples, then draws rows of m uniforms on window
+    from the Generator gen, the bits of given rows gen.uniform(window.lo,
+    window.hi, (draws, m)). Each block's are drawn in row order, under the
+    lock of the call's workers, just before it is used, so the (draws, m)
+    draws are never held and gen ends where that draw leaves it. parents
+    must be observed on [0; T].
+
+    Raises
+    ------
+    NoParentsError
+        If the parent train is empty.
+    ValueError
+        If samples is not a matrix or holds NaN or an infinity, or draws is
+        not an integer >= 0.
     """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2:
+        raise ValueError("samples must be a (rows, m) matrix")
+    draws = as_number("draws", draws, int, ge=0)
     n = parents.count()
     if n == 0:
         raise NoParentsError("coefficient estimates require at least one parent")
     T = parent_horizon(parents)
-    m, n_rows = given.shape[1], len(given) + draws
-    signs = _slot_signs(idx)
+    m, n_rows = samples.shape[1], len(samples) + draws
+    pair_sums, signs = _pair_sums(parents, idx)
     correction = _shift_mean_sums(T, idx)
     step = max(1, _BLOCK_SIZE // max(m, signs.shape[0]))
     out = np.empty((n_rows, idx.size))
+    # Rows enter a block in kernel units: (lo + u (hi - lo)) scale, bit for bit.
     scale = 2.0 ** (idx.j0 + 1)
-    table = PairTable(parents.times * scale, scale)
+    if draws:
+        width, low = (window.hi - window.lo) * scale, window.lo * scale
     starts = iter(range(0, n_rows, step))
     lock = threading.Lock()
     errors = []
@@ -321,20 +341,19 @@ def estimate_rows(
                     if start == n_rows:
                         return
                     stop = min(start + step, n_rows)
-                    samples = scratch("samples", (stop - start) * m, np.float64)
-                    samples = samples.reshape(stop - start, m)
-                    head = given[start:stop]
-                    samples[: len(head)] = head
+                    block = scratch("samples", (stop - start) * m, np.float64)
+                    block = block.reshape(stop - start, m)
+                    head = samples[start:stop]
                     if not np.isfinite(head).all():
                         raise ValueError("samples must be finite")
-                    drawn = samples[len(head) :]
+                    np.multiply(head, scale, out=block[: len(head)])
+                    drawn = block[len(head) :]
                     if len(drawn):
                         gen.random(out=drawn)
-                        drawn *= window.hi - window.lo
-                        drawn += window.lo
-                samples *= scale
-                sums = _pair_sums(table, samples, idx, signs, scratch)
-                sums -= (n - 1) * correction(samples)
+                        drawn *= width
+                        drawn += low
+                sums = pair_sums(block, scratch)
+                sums -= (n - 1) * correction(block)
                 np.divide(sums, n, out=out[start:stop])
         except BaseException as exc:  # re-raised in the caller
             errors.append(exc)
@@ -355,28 +374,6 @@ def estimate_rows(
     if errors:
         raise errors[0]
     return out
-
-
-def coefficient_matrix(
-    parents: EventTrain, samples: np.ndarray, idx: IndexSet
-) -> np.ndarray:
-    """Signed coefficient estimates for each row of child times against parents.
-
-    samples is a (rows, m) float array, one child sample per row, in any
-    order within a row; returns (rows, idx.size) estimates. parents must be
-    observed on [0; T].
-
-    Raises
-    ------
-    NoParentsError
-        If the parent train is empty.
-    ValueError
-        If samples is not a matrix or holds NaN or an infinity.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise ValueError("samples must be a (rows, m) matrix")
-    return estimate_rows(parents, idx, samples)
 
 
 def estimate_coefficients(
@@ -413,7 +410,6 @@ def pair_cascade(
     cost is O(pairs in range + slots * |indices|) instead of the naive
     O(n * m * |indices|).
     """
-    scale = 2.0 ** (idx.j0 + 1)
-    table = PairTable(parents.times * scale, scale)
-    samples = children.times[None, :] * scale
-    return _pair_sums(table, samples, idx, _slot_signs(idx), partial(_buffer, {}))[0]
+    sums, _ = _pair_sums(parents, idx)
+    samples = children.times[None, :] * 2.0 ** (idx.j0 + 1)
+    return sums(samples, partial(_buffer, {}))[0]

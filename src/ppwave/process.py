@@ -160,8 +160,9 @@ class PairTable:
 
     Building the table costs O(anchors); each lookup (ranked) then costs
     O(values + pairs), so a caller that pairs many value sets with one anchor
-    set builds it once. The table keeps no buffers: a lookup takes its
-    arrays from its caller's allocator, or makes new ones.
+    set builds it once. Values must not be NaN; an infinite one has no
+    candidates. The table keeps no buffers: a lookup takes its arrays from
+    its caller's allocator, or makes new ones.
     """
 
     def __init__(self, anchors: np.ndarray, reach: float):
@@ -169,8 +170,8 @@ class PairTable:
         # if the anchors' span needs more than O(anchors) cells) each hold the
         # anchors within reach + margin: values of cell c pair with anchors
         # first[c] .. first[c] + count[c] - 1. Values beyond every anchor's
-        # reach, infinities and NaN (through fmax) are clipped into the empty
-        # sentinel cells at either end.
+        # reach, infinities included, are clipped into the empty sentinel
+        # cells at either end.
         self.anchors = anchors = np.asarray(anchors, dtype=np.float64)
         if anchors.size == 0:
             return
@@ -223,8 +224,7 @@ class PairTable:
         scaled = scratch("scaled", n_values, np.float64)
         np.ldexp(values, -self._exp, out=scaled)
         np.floor(scaled, out=scaled)
-        np.fmax(scaled, self._c_lo, out=scaled)
-        np.fmin(scaled, self._c_hi, out=scaled)
+        np.clip(scaled, self._c_lo, self._c_hi, out=scaled)
         cell = scratch("cell", n_values)
         np.copyto(cell, scaled, casting="unsafe")
         cell -= self._c_lo

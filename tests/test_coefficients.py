@@ -393,6 +393,37 @@ def test_null_stats_match_the_uniform_matrix_at_the_default_block(j0):
     assert nulls.stats.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("j0", [3, 7])
+def test_drawn_rows_are_the_uniform_draws_in_kernel_units(j0):
+    # one call of given rows, then drawn ones, on a window far from zero,
+    # [-1; 10^4 + 1]: the given rows are their own call's bits, the drawn
+    # rows those of gen.uniform's (draws, m) matrix given as rows, and of
+    # simulate_null_stats on the same generator, which gen ends where that
+    # draw leaves it. A kernel that scaled only lo, or only the width, of
+    # its draws into kernel units would place them apart from uniform's
+    T = 1e4
+    rng = np.random.default_rng(j0)
+    parents = train(np.sort(rng.uniform(0.0, T, 4000)), 0.0, T)
+    window = pw.conditioning_window(T, 1.0)
+    idx, m, draws = pw.IndexSet(j0), 40, 300
+    given_rows = rng.uniform(window.lo, window.hi, (5, m))
+    gen = np.random.default_rng(11)
+    rows = pw.coefficient_matrix(
+        parents, given_rows, idx, draws=draws, window=window, gen=gen
+    )
+    assert rows.shape == (5 + draws, idx.size)
+    own = pw.coefficient_matrix(parents, given_rows, idx)
+    assert rows[:5].tobytes() == own.tobytes()
+    reference = np.random.default_rng(11)
+    uniform = reference.uniform(window.lo, window.hi, (draws, m))
+    assert gen.bit_generator.state == reference.bit_generator.state
+    drawn = pw.coefficient_matrix(parents, uniform, idx)
+    assert rows[5:].tobytes() == drawn.tobytes()
+    assert np.all(np.any(drawn != 0.0, axis=1))  # every row meets parents
+    nulls = pw.simulate_null_stats(parents, m, idx, draws, window, 11)
+    assert np.abs(rows[5:]).tobytes() == nulls.stats.tobytes()
+
+
 @contextlib.contextmanager
 def counted_workers():
     """Records the worker count of each kernel call made inside the block."""

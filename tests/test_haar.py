@@ -169,6 +169,14 @@ NUMERIC_SETTINGS = {
         lambda v: pw.simulate_null_stats(_PARENTS, v, pw.IndexSet(1), 2, _CHILDREN.window, 0),
         2, (-1,),
     ),
+    "coefficient_matrix.draws": (
+        "draws", int,
+        lambda v: pw.coefficient_matrix(
+            _PARENTS, np.empty((0, 2)), pw.IndexSet(1),
+            draws=v, window=_CHILDREN.window, gen=np.random.default_rng(0),
+        ),
+        2, (-1,),
+    ),
     "empirical_quantile.p": (
         "p", float, lambda v: pw.empirical_quantile([0.0, 1.0], v), 0.5,
         (0.0, math.nextafter(1.0, 2.0)),

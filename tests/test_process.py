@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ppwave as pw
 from ppwave.coefficients import _buffer
-from ppwave.process import PairTable
+from ppwave.process import _PAIR_MARGIN, PairTable
 
 
 def train(times, lo, hi):
@@ -184,18 +184,25 @@ def pair_differences(anchors, values, reach):
 @st.composite
 def pair_problems(draw):
     """Anchors (with ties) and values placed uniformly, on the dyadic grid of
-    step 2^-9, or at an anchor +- reach, each optionally one ulp aside; some
-    values lie beyond every anchor's reach on either side."""
+    step 2^-9, at an anchor +- reach, at reach +- margin beyond the first or
+    the last anchor, or far beyond every anchor (+-1e300), each optionally
+    one ulp aside; some values lie beyond every anchor's reach on either
+    side."""
     reach = draw(st.sampled_from([1.0, 0.04]))
     anchors = st.floats(0.0, 5.0) | st.sampled_from([1.0, 2.5])
     anchors = np.sort(np.asarray(draw(st.lists(anchors, max_size=12)), dtype=float))
     values = []
     for _ in range(draw(st.integers(0, 30))):
-        kind = draw(st.sampled_from(["uniform", "grid", "reach"]))
+        kind = draw(st.sampled_from(["uniform", "grid", "reach", "end", "far"]))
         if kind == "uniform":
             v = draw(st.floats(-3.0, 8.0))
+        elif kind == "far":
+            v = draw(st.sampled_from([-1e300, 1e300]))
         elif kind == "grid" or anchors.size == 0:
             v = draw(st.integers(-3 * 2**9, 8 * 2**9)) * 2.0**-9
+        elif kind == "end":
+            v = reach * (1.0 + draw(st.sampled_from([-1, 0, 1])) * _PAIR_MARGIN)
+            v = draw(st.sampled_from([anchors[0] - v, anchors[-1] + v]))
         else:
             v = anchors[draw(st.integers(0, anchors.size - 1))]
             v += draw(st.sampled_from([-reach, reach]))
@@ -230,6 +237,31 @@ def test_pair_differences_cover_every_pair_within_reach(problem):
             assert any(s <= true[0] and true[-1] < s + mine.size for s in runs)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(pair_problems())
+@settings(max_examples=300, deadline=None)
+def test_each_value_has_the_candidates_of_its_cell(problem):
+    # brute force over every anchor: a value's candidates are the anchors
+    # within reach + margin of its cell [c w; (c+1) w), in ascending order;
+    # a value beyond every anchor's reach by more than a cell, up to 1e300,
+    # falls in a sentinel cell and has none, with no overflowing cast
+    anchors, values, reach = problem
+    table = PairTable(anchors, reach)
+    diffs, owner = differences(table, values)
+    far = reach * (1.0 + _PAIR_MARGIN)
+    for i, v in enumerate(values):
+        expected = []
+        if anchors.size:
+            cell = math.floor(math.ldexp(v, -table._exp))
+            if table._c_lo < cell < table._c_hi:
+                lo = math.ldexp(cell, table._exp) - far
+                hi = math.ldexp(cell + 1, table._exp) + far
+                expected = [v - a for a in anchors if lo <= a <= hi]
+            else:  # beyond every anchor's reach
+                assert np.all(np.abs(v - anchors) > far)
+        assert diffs[owner == i].tolist() == expected
+
+
 @given(pair_problems())
 @settings(max_examples=150, deadline=None)
 def test_one_table_serves_many_lookups(problem):
@@ -256,10 +288,12 @@ def test_one_table_serves_many_lookups(problem):
         assert diffs.dtype == np.float64 and owner.dtype == np.intp
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pair_differences_empty_inputs():
-    # no pairs without anchors or values, nor for non-finite values
-    nonfinite = [np.nan, np.inf, -np.inf]
-    for anchors, values in (([], [0.5]), ([0.5], []), ([], []), ([0.5], nonfinite)):
+    # no pairs without anchors or values, nor for values far beyond every
+    # anchor, infinities included (values are never NaN)
+    beyond = [np.inf, -np.inf, 1e300, -1e300]
+    for anchors, values in (([], [0.5]), ([0.5], []), ([], []), ([0.5], beyond)):
         anchors, values = np.asarray(anchors, float), np.asarray(values, float)
         diffs, owner = pair_differences(anchors, values, 1.0)
         assert diffs.size == owner.size == 0
