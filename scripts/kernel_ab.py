@@ -22,20 +22,29 @@ family's per-call constants are most of the call: Data_80, two-sided j0=3
 and j0=7. Then a short horizon: simulate_null_stats on Data_80 scaled x0.5
 (scaled horizon 1, m=163) at B=200, two-sided j0=3, where a value in
 (0; 1) has both of its shift-mean terms, x and x - T, inside the family's
-support, so the correction bins both. Last, the benchmark's two ops: the
-test_paper mix, run_multiple_test at B=20000 (two-sided j0=3) on the nine
-datasets, two inputs each from data seed 20260810, cycled, pair i on input
-i mod 18 with null seed i; and the level_desk op, run_level_experiment with
-R=1 on Data_0 at B=2000, every method, master seed i. For each case it
-prints each tree's median call time over the timed pairs (after one untimed
-warm-up pair) next to its median process CPU time (time.process_time, every
-thread of the process), the ratio this / other as the median of the
-per-pair ratios with their quartiles, and whether the two trees returned the
-same values bit for bit in every pair: the statistics, every public value of
-an outcome, or a report's rates and u_alpha range (not its wall time). The
-median of the per-pair ratios is the headline because on a shared host the
-ratio of the two median times can fall outside the middle half of the
-pairs' own ratios.
+support, so the correction bins both. Last, the benchmark's two ops, with
+their settings read from perfbench/workloads.json and printed: the
+test_paper mix, run_multiple_test on the workload's datasets, two inputs
+each (the workload draws more) from its data seed, cycled, pair i on input
+i mod their count with null seed i; and the level_desk op,
+run_level_experiment on the workload's config with master seed i. For each
+case it prints each tree's median call time over the timed pairs (after one
+untimed warm-up pair; an even number, half in each order) next to its
+median process CPU time (time.process_time, every thread of the process),
+the ratio this / other, and whether the two trees returned the same values
+bit for bit in every pair: the statistics, every public value of an
+outcome, or a report's rates and u_alpha range (not its wall time).
+
+The ratio is the median, with quartiles, of the geometric means of two
+consecutive pairs' ratios, one pair of each order. A call that follows the
+other tree's call can run slower than one that follows its own tree's: on
+the short horizon (2 vCPUs, numpy 2.4.6), 32 against 26 ms, so that the
+plain per-pair ratios of two copies of one tree fell into two groups near
+0.8 and 1.25, and their median landed anywhere between them (0.94 in that
+run). The two orders' geometric mean cancels this, and read 0.97-1.02
+(quartiles) on the same pairs. A median of ratios is the headline because
+on a shared host the ratio of the two median times can fall outside the
+middle half of the pairs' own ratios.
 
 CPU time above wall time means a call ran on more than one CPU: the
 kernel's helper threads, or BLAS threads under the sign matmul (at j0=6
@@ -58,6 +67,7 @@ runs their sign matmuls on one thread.
 import argparse
 import hashlib
 import importlib.util
+import json
 import statistics
 import sys
 import time
@@ -66,8 +76,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-# timed call, dataset ("mix": the test_paper inputs), scale, B (rows of an
-# estimate_coefficients call), j0, side, timed pairs per --pairs unit
+# timed call, dataset, scale, B (rows of an estimate_coefficients call), j0,
+# side, timed pairs per --pairs unit; then a benchmark workload's name, timed
+# pairs per --pairs unit
 CASES = (
     ("simulate_null_stats", "Data_80", 50.0, 20000, 3, "two_sided", 1),
     ("simulate_null_stats", "Data_0", 50.0, 2000, 3, "two_sided", 10),
@@ -78,11 +89,13 @@ CASES = (
     ("run_multiple_test", "Data_80", 50.0, 20000, 3, "two_sided", 1),
     ("estimate_coefficients", "Data_80", 50.0, 1, 3, "two_sided", 100),
     ("estimate_coefficients", "Data_80", 50.0, 1, 7, "two_sided", 10),
-    ("simulate_null_stats", "Data_80", 0.5, 200, 3, "two_sided", 2),
-    ("run_multiple_test", "mix", 50.0, 20000, 3, "two_sided", 15),
-    ("run_level_experiment", "Data_0", 50.0, 2000, 3, "two_sided", 100),
+    ("simulate_null_stats", "Data_80", 0.5, 200, 3, "two_sided", 10),
+    ("test_paper", 15),
+    ("level_desk", 100),
 )
-MIX_DATA_SEED, MIX_INPUTS_PER_DATASET = 20260810, 2
+# The benchmark's workloads, read only; the mix takes two inputs per dataset.
+WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+MIX_INPUTS_PER_DATASET = 2
 
 
 def load(src: Path, name: str):
@@ -99,25 +112,34 @@ def load(src: Path, name: str):
     return module
 
 
+def workload_call(pw, workload: str):
+    """(the op's call and settings, named; the op on pw, given the pair's number i)."""
+    entry, p = WORKLOADS[workload]["entry"], WORKLOADS[workload]["params"]
+    test = {name: p[name] for name in ("alpha", "j0", "side", "B", "scale")}
+    if entry == "run_level_experiment":
+        run = dict(test, datasets=tuple(p["datasets"]), methods=tuple(p["methods"]))
+        run.update(R=p["R_per_op"], T=p["T"], workers=p["workers"])
+        return f"{entry} {run}", lambda i: pw.run_level_experiment(
+            pw.ExperimentConfig(master_seed=i, **run)
+        )
+    inputs = [
+        pw.make_dataset(
+            pw.DatasetId(name),
+            p["T"],
+            np.random.SeedSequence([p["data_seed"], pw.DATASET_NAMES.index(name), k]),
+        )
+        for name in p["datasets"]
+        for k in range(MIX_INPUTS_PER_DATASET)
+    ]
+    cfg = pw.TestConfig(**test)
+    settings = dict(test, datasets=p["datasets"], T=p["T"], data_seed=p["data_seed"])
+    return f"{entry} on {len(inputs)} inputs {settings}", lambda i: (
+        pw.run_multiple_test(*inputs[i % len(inputs)], cfg, seed=i)
+    )
+
+
 def case_call(pw, call: str, dataset: str, scale: float, B: int, j0: int, side: str):
     """(its inputs, named; a call of pw's call on them, given the pair's number i)."""
-    if call == "run_level_experiment":
-        cfg = dict(datasets=(dataset,), R=1, B=B, j0=j0, side=side, T=2.0, scale=scale)
-        return "R=1, every method", lambda i: pw.run_level_experiment(
-            pw.ExperimentConfig(master_seed=i, workers=1, **cfg)
-        )
-    if dataset == "mix":
-        cfg = pw.TestConfig(j0=j0, side=side, B=B, scale=scale)
-        inputs = [
-            pw.make_dataset(
-                pw.DatasetId(name), 2.0, np.random.SeedSequence([MIX_DATA_SEED, d, k])
-            )
-            for d, name in enumerate(pw.DATASET_NAMES)
-            for k in range(MIX_INPUTS_PER_DATASET)
-        ]
-        return f"{len(inputs)} inputs", lambda i: pw.run_multiple_test(
-            *inputs[i % len(inputs)], cfg, seed=i
-        )
     parents, children = pw.make_dataset(pw.DatasetId(dataset), 2.0, 7)
     sp, observed, window = pw.scale_clip(parents, children, scale)
     m, idx = observed.count(), pw.IndexSet(j0, side)
@@ -170,14 +192,21 @@ def main(argv=None):
         "other": load(args.other.resolve() / "src", "ppwave_other"),
         "this": load(ROOT / "src", "ppwave_this"),
     }
-    for call, dataset, scale, B, j0, side, per_unit in CASES:
+    for *case, per_unit in CASES:
         calls = {}
         for name, pw in trees.items():
-            inputs, calls[name] = case_call(pw, call, dataset, scale, B, j0, side)
+            if len(case) == 1:
+                inputs, calls[name] = workload_call(pw, *case)
+                call = WORKLOADS[case[0]]["entry"]
+                label = f"{case[0]} op: {inputs}"
+            else:
+                inputs, calls[name] = case_call(pw, *case)
+                call, dataset, scale, B, j0, side = case
+                label = f"{call} {dataset} x{scale:g} ({inputs}) B={B} j0={j0} {side}"
         times = {name: [] for name in trees}
         cpu = {name: [] for name in trees}
         same = True
-        for pair in range(1 + args.pairs * per_unit):
+        for pair in range(1 + 2 * -(-args.pairs * per_unit // 2)):
             digest = {}
             for name in list(trees)[:: 1 if pair % 2 else -1]:
                 start, start_cpu = time.perf_counter(), time.process_time()
@@ -193,15 +222,16 @@ def main(argv=None):
         median = {name: 1e3 * statistics.median(t) for name, t in times.items()}
         median_cpu = {name: 1e3 * statistics.median(t) for name, t in cpu.items()}
         ratios = np.divide(times["this"], times["other"])
+        ratios = np.sqrt(ratios[::2] * ratios[1::2])  # one pair of each order
         q1, ratio, q3 = np.quantile(ratios, [0.25, 0.5, 0.75])
         kinds = {"run_multiple_test": "outcomes", "run_level_experiment": "reports"}
         what = kinds.get(call, "statistics")
         print(
-            f"{call} {dataset} x{scale:g} ({inputs}) B={B} j0={j0} {side}, "
-            f"{len(times['this'])} pairs: "
+            f"{label}, {len(times['this'])} pairs: "
             f"other {median['other']:.2f} ms (cpu {median_cpu['other']:.2f}), "
             f"this {median['this']:.2f} ms (cpu {median_cpu['this']:.2f}), "
-            f"ratio {ratio:.3f} (median of pair ratios; q1 {q1:.3f}, q3 {q3:.3f}), "
+            f"ratio {ratio:.3f} (median of order-balanced ratios; "
+            f"q1 {q1:.3f}, q3 {q3:.3f}), "
             f"identical {what}: {'yes' if same else 'NO'}"
         )
 

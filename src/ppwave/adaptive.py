@@ -54,6 +54,13 @@ def aggregation_weights(idx: IndexSet) -> np.ndarray:
     return np.array(per_level)[idx.js]
 
 
+def _even_B(B) -> int:
+    """B as an int: the one rule of a null's row count, an even integer >= 2."""
+    if (B := as_number("B", B, int)) < 2 or B % 2:
+        raise ValueError(f"B must be an even integer >= 2, got {B}")
+    return B
+
+
 @dataclass(frozen=True)
 class TestConfig:
     """The aggregated test's knobs; ExperimentConfig adds a run's fields to them.
@@ -68,16 +75,14 @@ class TestConfig:
     scale: float = 50.0
 
     def __post_init__(self):
-        rules = dict(
-            alpha=(float, dict(gt=0, lt=1)), B=(int, {}), scale=(float, dict(gt=0))
+        checked = dict(
+            alpha=as_number("alpha", self.alpha, float, gt=0, lt=1),
+            B=_even_B(self.B),
+            scale=as_number("scale", self.scale, float, gt=0),
+            j0=self.index_set.j0,  # IndexSet validates j0 and side
         )
-        for name, (kind, bounds) in rules.items():
-            value = as_number(name, getattr(self, name), kind, **bounds)
+        for name, value in checked.items():
             object.__setattr__(self, name, value)
-        if self.B < 2 or self.B % 2:
-            raise ValueError("B must be an even integer >= 2")
-        # IndexSet validates j0 and side, and stores j0 as an int
-        object.__setattr__(self, "j0", self.index_set.j0)
 
     @cached_property
     def index_set(self) -> IndexSet:
@@ -101,8 +106,7 @@ class NullStatMatrix:
     def __post_init__(self):
         if self.stats.ndim != 2 or self.stats.shape[1] != self.index_set.size:
             raise ValueError("stats must be (B, n_indices)")
-        if self.stats.shape[0] < 2 or self.stats.shape[0] % 2:
-            raise ValueError("row count B must be even and >= 2")
+        _even_B(self.stats.shape[0])
         if not (self.stats >= 0).all():
             raise ValueError("null statistics are absolute values, >= 0 and not NaN")
 
@@ -137,11 +141,9 @@ def simulate_null_stats(
     are those of one (B, m) draw as_generator(seed).uniform(obs.lo, obs.hi),
     drawn one row block at a time. B (even, >= 2) and m (>= 0) are integers, no bools.
     """
-    B, m = as_number("B", B, int), as_number("m", m, int, ge=0)
-    if B < 2 or B % 2:
-        raise ValueError("B must be an even integer >= 2")
-    given, gen = np.empty((0, m)), as_generator(seed)
-    stats = coefficient_matrix(parents, given, idx, draws=B, window=obs, gen=gen)
+    B, m = _even_B(B), as_number("m", m, int, ge=0)
+    given = np.empty((0, m))
+    stats = coefficient_matrix(parents, given, idx, draws=B, window=obs, seed=seed)
     return NullStatMatrix(np.abs(stats, out=stats), idx)
 
 
@@ -269,7 +271,7 @@ def _observed_and_null(parents: EventTrain, children: EventTrain, config, seed):
     simulate_null_stats on the scaled data. beta_hat is a copy, so it does not
     keep the (B + 1, |idx|) estimates alive.
     """
-    gen = as_generator(seed)  # checked even when the data leave nothing to test
+    seed = as_generator(seed)  # checked even when the data leave nothing to test
     if parents.count() == 0:
         return None
     sp, observed, analysis = scale_clip(parents, children, config.scale)
@@ -277,7 +279,7 @@ def _observed_and_null(parents: EventTrain, children: EventTrain, config, seed):
     if m == 0:
         return None
     given = observed.times[None, :]
-    rows = coefficient_matrix(sp, given, idx, draws=config.B, window=analysis, gen=gen)
+    rows = coefficient_matrix(sp, given, idx, draws=config.B, window=analysis, seed=seed)
     stats = np.abs(rows[1:], out=rows[1:])
     return rows[0].copy(), NullStatMatrix(stats, idx), m
 

@@ -32,6 +32,11 @@ from .process import (
 from .simulate import DATASET_NAMES, DatasetId, make_dataset
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # to main's one error line, not usage and exit
+        raise ValueError(message)
+
+
 def _seed(args) -> np.random.SeedSequence:
     """Stream 0 of --seed.
 
@@ -218,7 +223,7 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ppwave",
         description="Interaction tests for parent/child point processes",
     )
@@ -227,11 +232,13 @@ def main(argv=None) -> int:
     _add_test(sub)
     for name in _EXPERIMENTS:
         _add_experiment(sub, name)
-    args = parser.parse_args(argv)
+    # argparse stores the command before its subparser runs: errors name it too
+    args = argparse.Namespace(command=None)
     try:
-        return args.func(args)
+        return parser.parse_args(argv, args).func(args)
     except (OSError, ValueError) as exc:
-        print(f"ppwave {args.command}: error: {exc}", file=sys.stderr)
+        prog = f"ppwave {args.command}" if args.command else "ppwave"
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
 
 

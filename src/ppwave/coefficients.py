@@ -8,8 +8,8 @@ the dyadic-slot pair sums and the exact uniform-shift-mean correction over a
 
 where S is the raw pair sum over child-parent differences (closed form, no
 extra Monte-Carlo noise). The kernel's rows are given rows, then rows of
-uniforms drawn block by block: each row block is drawn from the one
-generator just before it is used, so the (B, m) draws are never held. One
+uniforms drawn block by block from the one generator made of the call's
+seed, each just before it is used, so the (B, m) draws are never held. One
 loop walks the rows in fixed-size blocks, in any order within a row, and
 each row's estimates are the bits of its one-row call. The observed train is
 the one-row case (estimate_coefficients; pair_cascade gives its raw sums S),
@@ -58,7 +58,8 @@ from functools import partial
 import numpy as np
 
 from .haar import IndexSet, as_number, haar_amplitude
-from .process import EventTrain, PairTable, parent_horizon
+from .process import EventTrain, PairTable, Window, parent_horizon
+from .simulate import as_generator
 
 __all__ = [
     "NoParentsError",
@@ -286,31 +287,41 @@ def _workers(n_rows: int, step: int, m: int, signs: np.ndarray) -> int:
 
 
 def coefficient_matrix(
-    parents: EventTrain, samples, idx: IndexSet, *, draws=0, window=None, gen=None
+    parents: EventTrain, samples, idx: IndexSet, *, draws=0, window=None, seed=None
 ) -> np.ndarray:
     """Signed coefficient estimates for each row of child times against parents.
 
     samples is a (rows, m) float array, one child sample per row, in any
     order within a row; it may have no rows. Returns (rows + draws, idx.size)
-    estimates: the rows of samples, then draws rows of m uniforms on window
-    from the Generator gen, the bits of given rows gen.uniform(window.lo,
-    window.hi, (draws, m)). Each block's are drawn in row order, under the
-    lock of the call's workers, just before it is used, so the (draws, m)
-    draws are never held and gen ends where that draw leaves it. parents
+    estimates: the rows of samples, then draws rows of m uniforms on the
+    Window window from gen = as_generator(seed), the bits of given rows
+    gen.uniform(window.lo, window.hi, (draws, m)); without draws, window and
+    seed are not read. Each block's are drawn in row order, under the lock of
+    the call's workers, just before it is used, so the (draws, m) draws are
+    never held and a passed Generator ends where that draw leaves it. parents
     must be observed on [0; T].
 
     Raises
     ------
     NoParentsError
         If the parent train is empty.
+    TypeError
+        If there are draws and as_generator refuses seed.
     ValueError
-        If samples is not a matrix or holds NaN or an infinity, or draws is
-        not an integer >= 0.
+        If samples is not a matrix or holds NaN or an infinity, draws is not
+        an integer >= 0, or there are draws and window is not a Window.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError("samples must be a (rows, m) matrix")
     draws = as_number("draws", draws, int, ge=0)
+    # Rows enter a block in kernel units: (lo + u (hi - lo)) scale, bit for bit.
+    scale = 2.0 ** (idx.j0 + 1)
+    if draws:  # checked before any helper starts
+        if not isinstance(window, Window):
+            raise ValueError(f"window must be a Window, got {window!r}")
+        gen = as_generator(seed)
+        width, low = (window.hi - window.lo) * scale, window.lo * scale
     n = parents.count()
     if n == 0:
         raise NoParentsError("coefficient estimates require at least one parent")
@@ -320,10 +331,6 @@ def coefficient_matrix(
     correction = _shift_mean_sums(T, idx)
     step = max(1, _BLOCK_SIZE // max(m, signs.shape[0]))
     out = np.empty((n_rows, idx.size))
-    # Rows enter a block in kernel units: (lo + u (hi - lo)) scale, bit for bit.
-    scale = 2.0 ** (idx.j0 + 1)
-    if draws:
-        width, low = (window.hi - window.lo) * scale, window.lo * scale
     starts = iter(range(0, n_rows, step))
     lock = threading.Lock()
     errors = []

@@ -157,6 +157,21 @@ def test_null_stats_shape_and_split():
             pw.NullStatMatrix(stats, idx)
 
 
+def test_odd_B_reads_one_message_at_every_entry():
+    # one rule of B: the config, the null and the matrix of its rows
+    parents = train([0.2, 1.0], 0.0, 2.0)
+    idx = pw.IndexSet(2)
+    entries = (
+        lambda: pw.TestConfig(B=3),
+        lambda: pw.simulate_null_stats(parents, 5, idx, 3, pw.Window(-1.0, 3.0), 0),
+        lambda: pw.NullStatMatrix(np.zeros((3, idx.size)), idx),
+    )
+    for entry in entries:
+        with pytest.raises(ValueError) as info:
+            entry()
+        assert str(info.value) == "B must be an even integer >= 2, got 3"
+
+
 def test_null_stats_single_pair_support():
     # n=1 parent at 0, m=1: the statistic is 1 when the uniform lands in the
     # wavelet support around the parent, else 0

@@ -216,6 +216,33 @@ INVALID_INVOCATIONS = {
         "test --parents {outside_window} --children {c}",
         "outside_window.txt: times must lie in [0.0; 2.0]",
     ),
+    # the parsers' own errors take the same one-line path
+    "B-not-int": (
+        "test --parents {p} --children {c} --B abc",
+        "argument --B: invalid int value: 'abc'",
+    ),
+    "level-T-not-float": ("level --R 1 --T x", "argument --T: invalid float value: 'x'"),
+    "level-dataset-choice": (
+        "level --R 1 --datasets Data_9",
+        "argument --datasets: invalid choice: 'Data_9'",
+    ),
+    "test-side-choice": (
+        "test --parents {p} --children {c} --side both",
+        "argument --side: invalid choice: 'both'",
+    ),
+    "test-method-choice": (
+        "test --parents {p} --children {c} --method foo",
+        "argument --method: invalid choice: 'foo'",
+    ),
+    "simulate-dataset-choice": (
+        "simulate --dataset X --out-parents {p} --out-children {c}",
+        "argument --dataset: invalid choice: 'X'",
+    ),
+    "test-missing-children": (
+        "test --parents {p}",
+        "the following arguments are required: --children",
+    ),
+    "level-unknown-flag": ("level --R 1 --bogus", "unrecognized arguments: --bogus"),
 }
 
 
@@ -258,6 +285,23 @@ def test_invalid_settings_exit_2_with_one_error_line(
     assert captured.out == ""
     assert captured.err.startswith(f"ppwave {argv[0]}: error: ")
     assert message in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["no-command", "unknown-command"],
+)
+def test_parser_errors_without_a_command_name_the_program(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"ppwave: error: {message}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import re
 import sys
 import threading
 import time
@@ -409,7 +410,7 @@ def test_drawn_rows_are_the_uniform_draws_in_kernel_units(j0):
     given_rows = rng.uniform(window.lo, window.hi, (5, m))
     gen = np.random.default_rng(11)
     rows = pw.coefficient_matrix(
-        parents, given_rows, idx, draws=draws, window=window, gen=gen
+        parents, given_rows, idx, draws=draws, window=window, seed=gen
     )
     assert rows.shape == (5 + draws, idx.size)
     own = pw.coefficient_matrix(parents, given_rows, idx)
@@ -422,6 +423,57 @@ def test_drawn_rows_are_the_uniform_draws_in_kernel_units(j0):
     assert np.all(np.any(drawn != 0.0, axis=1))  # every row meets parents
     nulls = pw.simulate_null_stats(parents, m, idx, draws, window, 11)
     assert np.abs(rows[5:]).tobytes() == nulls.stats.tobytes()
+
+
+def test_kernel_makes_its_generator_of_the_seed():
+    # the draw mode takes seed through as_generator, as every seeded call:
+    # an int, a SeedSequence and a Generator give simulate_null_stats' rows,
+    # and a passed Generator ends where simulate_null_stats leaves it
+    sp, observed, window = scaled_inputs("Data_0", 2.0)
+    m, idx, B = observed.count(), pw.IndexSet(3), 300
+    given = np.empty((0, m))
+    reference = np.random.default_rng(5)
+    nulls = pw.simulate_null_stats(sp, m, idx, B, window, reference)
+    for seed in (5, np.random.SeedSequence(5), np.random.default_rng(5)):
+        rows = pw.coefficient_matrix(sp, given, idx, draws=B, window=window, seed=seed)
+        assert np.abs(rows).tobytes() == nulls.stats.tobytes()
+    assert seed.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernel_refuses_a_seed_before_any_worker_starts(workers):
+    # None, a bool and a string raise as_generator's TypeError, with one
+    # worker and with a helper forced, before the kernel sizes its workers
+    sp, observed, window = scaled_inputs("Data_0", 2.0)
+    m, idx = observed.count(), pw.IndexSet(3)
+    calls = []
+
+    def forced(*args):
+        calls.append(args)
+        return workers
+
+    with mock.patch.object(coefficients, "_workers", forced):
+        for bad in (None, True, "1"):
+            with pytest.raises(TypeError, match="cannot build a generator"):
+                pw.coefficient_matrix(
+                    sp, np.empty((0, m)), idx, draws=2000, window=window, seed=bad
+                )
+    assert calls == []
+
+
+def test_draws_need_a_window():
+    # the window is checked where the draw starts, by name
+    parents = train([0.2, 1.0], 0.0, 2.0)
+    idx = pw.IndexSet(2)
+    for window in (None, (0, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"must be a Window, got {window}")):
+            pw.coefficient_matrix(
+                parents, np.empty((0, 3)), idx, draws=2, window=window, seed=0
+            )
+    with pytest.raises(ValueError, match=re.escape("window must be a Window, got (0, 1)")):
+        pw.simulate_null_stats(parents, 3, idx, 2, (0, 1), 0)
+    # without draws, neither window nor seed is read
+    pw.coefficient_matrix(parents, np.zeros((1, 3)), idx, window=(0, 1), seed=None)
 
 
 @contextlib.contextmanager

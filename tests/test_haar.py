@@ -173,7 +173,7 @@ NUMERIC_SETTINGS = {
         "draws", int,
         lambda v: pw.coefficient_matrix(
             _PARENTS, np.empty((0, 2)), pw.IndexSet(1),
-            draws=v, window=_CHILDREN.window, gen=np.random.default_rng(0),
+            draws=v, window=_CHILDREN.window, seed=np.random.default_rng(0),
         ),
         2, (-1,),
     ),
